@@ -84,6 +84,26 @@ void BM_ToCartesian(benchmark::State& state) {
   }
 }
 
+// ToCartesian on a real release's noisy angles (beta = 0.01, B = 256).
+// Unlike the clean angles above, the direction noise drives the product of
+// sines below DBL_MIN at high d, where most outputs are float zeros: the
+// regime the transform's dead-tail cut exists for.
+void BM_ToCartesianNoisy(benchmark::State& state) {
+  GeoDpOptions options;
+  options.base.clip_threshold = 0.1;
+  options.base.batch_size = 256;
+  options.base.noise_multiplier = 1.0;
+  options.beta = 0.01;
+  const GeoDpPerturber perturber(options);
+  Rng rng(3);
+  const SphericalCoordinates noisy = perturber.PerturbSpherical(
+      ToSpherical(MakeGradient(state.range(0))), rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ToCartesian(noisy));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
 void DimBatchArgs(benchmark::internal::Benchmark* b) {
   for (int64_t dim : {1250, 5000, 20000, 80000}) {
     for (int64_t batch : {512, 2048}) {
@@ -101,6 +121,7 @@ BENCHMARK(BM_AverageClipped)
     ->Args({5000, 512});
 BENCHMARK(BM_ToSpherical)->Arg(1250)->Arg(5000)->Arg(20000)->Arg(80000);
 BENCHMARK(BM_ToCartesian)->Arg(1250)->Arg(5000)->Arg(20000)->Arg(80000);
+BENCHMARK(BM_ToCartesianNoisy)->Arg(80000)->Arg(int64_t{1} << 20);
 
 }  // namespace
 }  // namespace geodp

@@ -143,6 +143,9 @@ class ByteReader {
       return {};
     }
     std::vector<T> values(static_cast<size_t>(count));
+    // An empty vector's data() may be null, and memcpy from or to null is
+    // undefined even for zero bytes.
+    if (count == 0) return values;
     std::memcpy(values.data(), data_ + pos_,
                 static_cast<size_t>(count) * sizeof(T));
     pos_ += static_cast<size_t>(count) * sizeof(T);

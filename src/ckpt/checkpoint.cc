@@ -25,6 +25,8 @@ constexpr uint64_t kMaxPayloadBytes = uint64_t{1} << 30;
 
 constexpr char kFilePrefix[] = "ckpt_";
 constexpr char kFileSuffix[] = ".gdpk";
+constexpr char kPostmortemPrefix[] = "postmortem-";
+constexpr char kPostmortemSuffix[] = ".json";
 
 void WriteRngState(ByteWriter& w, const RngState& state) {
   for (const uint64_t word : state.state) w.WriteU64(word);
@@ -194,41 +196,49 @@ void AppendPod(std::string& out, T value) {
   out.append(bytes, sizeof(T));
 }
 
-// Parses the attempt number out of "ckpt_000000123.gdpk"; -1 when the name
-// does not match the canonical pattern.
-int64_t ParseCheckpointAttempt(const std::string& filename) {
-  const size_t prefix_len = sizeof(kFilePrefix) - 1;
-  const size_t suffix_len = sizeof(kFileSuffix) - 1;
+// Parses the number out of "<prefix><digits><suffix>" (e.g.
+// "ckpt_000000123.gdpk"); -1 when the name does not match that pattern.
+int64_t ParseNumberedName(const std::string& filename, const char* prefix,
+                          const char* suffix) {
+  const size_t prefix_len = std::strlen(prefix);
+  const size_t suffix_len = std::strlen(suffix);
   if (filename.size() <= prefix_len + suffix_len) return -1;
-  if (filename.compare(0, prefix_len, kFilePrefix) != 0) return -1;
-  if (filename.compare(filename.size() - suffix_len, suffix_len,
-                       kFileSuffix) != 0) {
+  if (filename.compare(0, prefix_len, prefix) != 0) return -1;
+  if (filename.compare(filename.size() - suffix_len, suffix_len, suffix) !=
+      0) {
     return -1;
   }
-  int64_t attempt = 0;
+  int64_t number = 0;
   for (size_t i = prefix_len; i < filename.size() - suffix_len; ++i) {
     const char ch = filename[i];
     if (ch < '0' || ch > '9') return -1;
-    if (attempt > (INT64_MAX - (ch - '0')) / 10) return -1;
-    attempt = attempt * 10 + (ch - '0');
+    if (number > (INT64_MAX - (ch - '0')) / 10) return -1;
+    number = number * 10 + (ch - '0');
   }
-  return attempt;
+  return number;
 }
 
-// All canonical checkpoint files in `dir`, newest (highest attempt) first.
-std::vector<std::pair<int64_t, std::string>> ListCheckpointFiles(
-    const std::string& dir) {
+// All "<prefix><digits><suffix>" files in `dir`, newest (highest number)
+// first.
+std::vector<std::pair<int64_t, std::string>> ListNumberedFiles(
+    const std::string& dir, const char* prefix, const char* suffix) {
   std::vector<std::pair<int64_t, std::string>> files;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file(ec)) continue;
     const std::string name = entry.path().filename().string();
-    const int64_t attempt = ParseCheckpointAttempt(name);
-    if (attempt >= 0) files.emplace_back(attempt, entry.path().string());
+    const int64_t number = ParseNumberedName(name, prefix, suffix);
+    if (number >= 0) files.emplace_back(number, entry.path().string());
   }
   std::sort(files.begin(), files.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
   return files;
+}
+
+// All canonical checkpoint files in `dir`, newest (highest attempt) first.
+std::vector<std::pair<int64_t, std::string>> ListCheckpointFiles(
+    const std::string& dir) {
+  return ListNumberedFiles(dir, kFilePrefix, kFileSuffix);
 }
 
 }  // namespace
@@ -242,8 +252,9 @@ std::string CheckpointFileName(int64_t next_attempt) {
 
 std::string PostmortemFileName(int64_t step) {
   std::array<char, 32> buffer;
-  std::snprintf(buffer.data(), buffer.size(), "postmortem-%09lld.json",
-                static_cast<long long>(step));
+  std::snprintf(buffer.data(), buffer.size(), "%s%09lld%s",
+                kPostmortemPrefix, static_cast<long long>(step),
+                kPostmortemSuffix);
   return buffer.data();
 }
 
@@ -351,19 +362,31 @@ StatusOr<FoundCheckpoint> FindLatestGoodCheckpoint(const std::string& dir) {
                           std::to_string(skipped) + " corrupt)");
 }
 
-int64_t PruneOldCheckpoints(const std::string& dir, int64_t keep) {
+int64_t PruneOldCheckpoints(const std::string& dir, int64_t keep,
+                            int64_t resume_point) {
   if (keep < 1) keep = 1;
-  const auto files = ListCheckpointFiles(dir);
   int64_t errors = 0;
-  for (size_t i = static_cast<size_t>(keep); i < files.size(); ++i) {
-    const FaultInjector::Action fired =
-        FaultInjector::Global().Fire("ckpt.prune");
-    if (FaultInjector::SimulatedErrno(fired) != 0) {
-      ++errors;  // simulated unlink failure: leave the file, count it
-      continue;
+  const auto prune = [&](const std::vector<std::pair<int64_t, std::string>>&
+                             files) {
+    for (size_t i = static_cast<size_t>(keep); i < files.size(); ++i) {
+      const FaultInjector::Action fired =
+          FaultInjector::Global().Fire("ckpt.prune");
+      if (FaultInjector::SimulatedErrno(fired) != 0) {
+        ++errors;  // simulated unlink failure: leave the file, count it
+        continue;
+      }
+      if (std::remove(files[i].second.c_str()) != 0) ++errors;
     }
-    if (std::remove(files[i].second.c_str()) != 0) ++errors;
-  }
+  };
+  prune(ListCheckpointFiles(dir));
+  std::vector<std::pair<int64_t, std::string>> postmortems =
+      ListNumberedFiles(dir, kPostmortemPrefix, kPostmortemSuffix);
+  postmortems.erase(std::remove_if(postmortems.begin(), postmortems.end(),
+                                   [&](const auto& file) {
+                                     return file.first == resume_point;
+                                   }),
+                    postmortems.end());
+  prune(postmortems);
   return errors;
 }
 

@@ -93,8 +93,8 @@ std::string CheckpointFileName(int64_t next_attempt);
 
 /// Canonical file name for a flight-recorder postmortem dump written next
 /// to the checkpoints: "postmortem-<zero-padded step>.json". Deliberately
-/// outside the "ckpt_*.gdpk" pattern, so checkpoint scanning and pruning
-/// never touch postmortems.
+/// outside the "ckpt_*.gdpk" pattern, so checkpoint scanning never touches
+/// postmortems; PruneOldCheckpoints bounds them separately.
 std::string PostmortemFileName(int64_t step);
 
 /// Serializes `checkpoint` and writes it durably to `path` using the
@@ -125,13 +125,17 @@ struct FoundCheckpoint {
 /// loadable checkpoint.
 StatusOr<FoundCheckpoint> FindLatestGoodCheckpoint(const std::string& dir);
 
-/// Deletes all but the newest `keep` checkpoint files in `dir`. Keeping
-/// more than one means a corrupt newest file still leaves a fallback.
+/// Deletes all but the newest `keep` checkpoint files in `dir`, and all
+/// but the newest `keep` postmortem dumps. Keeping more than one means a
+/// corrupt newest file still leaves a fallback. A run resumed from a
+/// checkpoint passes its attempt as `resume_point`: the postmortem there
+/// is the black box of the crash being recovered from, and is kept too.
 /// Best-effort: unreadable directories or undeletable files are never
 /// fatal — each failed unlink (including ones injected at the
 /// "ckpt.prune" fail point) is counted in the returned error tally so
 /// the trainer can surface it as the ckpt.prune_errors counter.
-int64_t PruneOldCheckpoints(const std::string& dir, int64_t keep);
+int64_t PruneOldCheckpoints(const std::string& dir, int64_t keep,
+                            int64_t resume_point = -1);
 
 }  // namespace geodp
 

@@ -60,6 +60,21 @@ void AddLaplaceNoise(std::vector<double>& values, double scale,
                     });
 }
 
+// Maps perturbed angles back per `handling` before the Cartesian
+// conversion.
+void ApplyAngleHandling(AngleHandling handling, std::vector<double>& angles) {
+  switch (handling) {
+    case AngleHandling::kNone:
+      break;
+    case AngleHandling::kWrap:
+      angles = WrapAngles(std::move(angles));
+      break;
+    case AngleHandling::kClamp:
+      angles = ClampAngles(std::move(angles));
+      break;
+  }
+}
+
 }  // namespace
 
 DpPerturber::DpPerturber(PerturbationOptions options) : options_(options) {
@@ -112,23 +127,19 @@ double GeoDpPerturber::DirectionNoiseStddev(int64_t dimension) const {
 SphericalCoordinates GeoDpPerturber::PerturbSpherical(
     const SphericalCoordinates& coords, Rng& rng) const {
   SphericalCoordinates noisy = coords;
-  noisy.magnitude += rng.Gaussian(0.0, MagnitudeNoiseStddev());
-  if (options_.clamp_magnitude && noisy.magnitude < 0.0) {
-    noisy.magnitude = 0.0;
+  PerturbSphericalInPlace(noisy, rng);
+  return noisy;
+}
+
+void GeoDpPerturber::PerturbSphericalInPlace(SphericalCoordinates& coords,
+                                             Rng& rng) const {
+  coords.magnitude += rng.Gaussian(0.0, MagnitudeNoiseStddev());
+  if (options_.clamp_magnitude && coords.magnitude < 0.0) {
+    coords.magnitude = 0.0;
   }
   const double angle_stddev = DirectionNoiseStddev(coords.CartesianDim());
-  AddGaussianNoise(noisy.angles, angle_stddev, rng.Next());
-  switch (options_.angle_handling) {
-    case AngleHandling::kNone:
-      break;
-    case AngleHandling::kWrap:
-      noisy.angles = WrapAngles(std::move(noisy.angles));
-      break;
-    case AngleHandling::kClamp:
-      noisy.angles = ClampAngles(std::move(noisy.angles));
-      break;
-  }
-  return noisy;
+  AddGaussianNoise(coords.angles, angle_stddev, rng.Next());
+  ApplyAngleHandling(options_.angle_handling, coords.angles);
 }
 
 NoiseStddevs GeoDpPerturber::Stddevs(int64_t dimension) const {
@@ -145,13 +156,12 @@ Tensor GeoDpPerturber::Perturb(const Tensor& avg_clipped_gradient,
     const TraceSpan span("spherical.to_spherical");
     coords = ToSpherical(avg_clipped_gradient);
   }
-  SphericalCoordinates noisy;
   {
     const TraceSpan span("perturb.geodp");
-    noisy = PerturbSpherical(coords, rng);
+    PerturbSphericalInPlace(coords, rng);
   }
   const TraceSpan span("spherical.to_cartesian");
-  return ToCartesian(noisy);
+  return ToCartesian(coords);
 }
 
 namespace {
@@ -204,16 +214,7 @@ Tensor GeoLaplacePerturber::Perturb(const Tensor& avg_clipped_gradient,
   coords.magnitude += rng.Laplace(MagnitudeNoiseScale());
   const double angle_scale = DirectionNoiseScale(coords.CartesianDim());
   AddLaplaceNoise(coords.angles, angle_scale, rng.Next());
-  switch (options_.angle_handling) {
-    case AngleHandling::kNone:
-      break;
-    case AngleHandling::kWrap:
-      coords.angles = WrapAngles(std::move(coords.angles));
-      break;
-    case AngleHandling::kClamp:
-      coords.angles = ClampAngles(std::move(coords.angles));
-      break;
-  }
+  ApplyAngleHandling(options_.angle_handling, coords.angles);
   return ToCartesian(coords);
 }
 

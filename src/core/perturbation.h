@@ -124,6 +124,9 @@ class GeoDpPerturber : public Perturber {
   const GeoDpOptions& options() const { return options_; }
 
  private:
+  // PerturbSpherical without the copy; Perturb owns its coordinates.
+  void PerturbSphericalInPlace(SphericalCoordinates& coords, Rng& rng) const;
+
   GeoDpOptions options_;
 };
 

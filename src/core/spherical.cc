@@ -1,5 +1,7 @@
 #include "core/spherical.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -12,6 +14,14 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
+// Elements per block of the spherical transforms: the blocks' scratch
+// lives on the stack and stays in L1, whatever the dimension.
+constexpr int64_t kBlock = 512;
+
+// A double below 2^-151 in magnitude converts to float zero (half the
+// smallest float subnormal is 2^-150), with a margin.
+constexpr double kDeadTail = 0x1p-151;
+
 }  // namespace
 
 SphericalCoordinates ToSpherical(const Tensor& g) {
@@ -20,28 +30,44 @@ SphericalCoordinates ToSpherical(const Tensor& g) {
   GEODP_CHECK_GE(d, 2) << "spherical coordinates need dimension >= 2";
 
   SphericalCoordinates coords;
-  coords.angles.assign(static_cast<size_t>(d - 1), 0.0);
+  coords.angles.resize(static_cast<size_t>(d - 1));
+  double* angles = coords.angles.data();
 
-  // Suffix norms: tail[z] = sqrt(g_{z+1}^2 + ... + g_{d-1}^2) in 0-based
-  // indexing. The suffix sums of squares accumulate back-to-front (for
-  // stability and the historical rounding order); the square roots and the
-  // atan2 over (tail[z], g[z]) pairs run through the batched kernels.
-  std::vector<double> tail(static_cast<size_t>(d), 0.0);
+  // theta_z = atan2(tail_z, g_z) for z < d-2, where tail_z is the norm of
+  // g_{z+1..d-1} (0-based). The suffix sums of squares accumulate
+  // back-to-front (for stability and the historical rounding order), so
+  // the blocks run back-to-front too: each one finishes its suffix sums,
+  // then takes the square roots and the atan2 through the batched kernels.
+  // Blocks start at multiples of kBlock, so each kernel sees the same
+  // 4-lane groups and the same scalar tail as one whole-array call would.
+  const int64_t n = d - 2;
   double sum_sq = 0.0;
-  for (int64_t z = d - 1; z >= 0; --z) {
-    tail[static_cast<size_t>(z)] = sum_sq;
-    sum_sq += static_cast<double>(g[z]) * static_cast<double>(g[z]);
+  for (int64_t z = d - 1; z >= n; --z) {
+    const double v = static_cast<double>(g[z]);
+    sum_sq += v * v;
   }
-  simd::SqrtArray(tail.data(), tail.data(), d);
+  std::array<double, kBlock> tail{};
+  std::array<double, kBlock> head{};
+  const int64_t last_block = n > 0 ? (n - 1) / kBlock * kBlock : 0;
+  for (int64_t lo = last_block; lo >= 0; lo -= kBlock) {
+    const int64_t len = std::min(kBlock, n - lo);
+    for (int64_t i = len - 1; i >= 0; --i) {
+      const auto k = static_cast<size_t>(i);
+      tail[k] = sum_sq;
+      head[k] = static_cast<double>(g[lo + i]);
+      sum_sq += head[k] * head[k];
+    }
+    simd::SqrtArray(tail.data(), tail.data(), len);
+    simd::Atan2(tail.data(), head.data(), angles + lo, len);
+  }
   coords.magnitude = std::sqrt(sum_sq);
-  if (coords.magnitude == 0.0) return coords;  // all angles stay 0
-
-  std::vector<double> head(static_cast<size_t>(d - 2));
-  for (int64_t z = 0; z < d - 2; ++z) {
-    head[static_cast<size_t>(z)] = static_cast<double>(g[z]);
+  if (coords.magnitude == 0.0) {
+    // The zero vector maps to all-zero angles (atan2 of signed zeros would
+    // give pi for -0 coordinates).
+    std::fill(coords.angles.begin(), coords.angles.end(), 0.0);
+    return coords;
   }
-  simd::Atan2(tail.data(), head.data(), coords.angles.data(), d - 2);
-  coords.angles[static_cast<size_t>(d - 2)] =
+  angles[d - 2] =
       std::atan2(static_cast<double>(g[d - 1]), static_cast<double>(g[d - 2]));
   return coords;
 }
@@ -50,18 +76,33 @@ Tensor ToCartesian(const SphericalCoordinates& coords) {
   const int64_t d = coords.CartesianDim();
   GEODP_CHECK_GE(d, 2);
   Tensor g({d});
-  // Batched sin/cos of every angle, then the (inherently serial) prefix
-  // product of sines in the historical multiplication order.
-  std::vector<double> sins(static_cast<size_t>(d - 1));
-  std::vector<double> coss(static_cast<size_t>(d - 1));
-  simd::SinCos(coords.angles.data(), sins.data(), coss.data(), d - 1);
+  float* out = g.data();
+  const double magnitude = coords.magnitude;
+  // Batched sin/cos of one block of angles at a time, then the (inherently
+  // serial) prefix product of sines in the historical multiplication order.
+  std::array<double, kBlock> sins{};
+  std::array<double, kBlock> coss{};
   double sin_product = 1.0;  // sin(theta_1) * ... * sin(theta_{z-1})
-  for (int64_t z = 0; z < d - 1; ++z) {
-    g[z] = static_cast<float>(coords.magnitude * sin_product *
-                              coss[static_cast<size_t>(z)]);
-    sin_product *= sins[static_cast<size_t>(z)];
+  for (int64_t lo = 0; lo < d - 1; lo += kBlock) {
+    const int64_t len = std::min(kBlock, d - 1 - lo);
+    simd::SinCos(coords.angles.data() + lo, sins.data(), coss.data(), len);
+    for (int64_t i = 0; i < len; ++i) {
+      const double scaled = magnitude * sin_product;
+      // Dead tail: |sin| <= 1, so no later |magnitude * sin_product| can
+      // exceed this one, and every later output rounds to a float zero
+      // whose sign is the XOR of its factors' signs. A signed-zero product
+      // keeps that sign and stops the double multiplies from sinking into
+      // (slow, microcode-assisted) subnormals. NaN and inf fail the
+      // comparison, and a later NaN sine still propagates.
+      if (std::fabs(scaled) < kDeadTail) {
+        sin_product = std::copysign(0.0, sin_product);
+      }
+      const auto k = static_cast<size_t>(i);
+      out[lo + i] = static_cast<float>(scaled * coss[k]);
+      sin_product *= sins[k];
+    }
   }
-  g[d - 1] = static_cast<float>(coords.magnitude * sin_product);
+  out[d - 1] = static_cast<float>(magnitude * sin_product);
   return g;
 }
 

@@ -807,7 +807,8 @@ StatusOr<TrainingResult> DpTrainer::Run() {
       } else {
         missed_checkpoints = 0;
         const int64_t prune_errors = PruneOldCheckpoints(
-            options_.checkpoint_dir, options_.checkpoint_keep);
+            options_.checkpoint_dir, options_.checkpoint_keep,
+            options_.resume_from.empty() ? -1 : start_attempt);
         if (prune_errors > 0) {
           // Never fatal: a stale checkpoint file costs disk, not
           // correctness. Counted so operators see the leak.

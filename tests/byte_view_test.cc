@@ -23,13 +23,12 @@
 #include "nn/parameter.h"
 #include "tensor/serialization.h"
 #include "tensor/tensor.h"
+#include "test_util.h"
 
 namespace geodp {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing_util::TestTempPath;
 
 std::string ReadWholeFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -134,7 +133,7 @@ TEST(GoldenBytesTest, TensorWireFormatIsUnchanged) {
 TEST(GoldenBytesTest, CheckpointContainerFormatIsUnchanged) {
   Rng rng(11);
   Linear model(3, 2, rng);
-  const std::string path = TempPath("byte_view_golden.gdpc");
+  const std::string path = TestTempPath("byte_view_golden.gdpc");
   ASSERT_TRUE(SaveCheckpoint(model, path).ok());
 
   std::string expected = "GDPC";
@@ -155,8 +154,8 @@ TEST(GoldenBytesTest, IdxExportFormatIsUnchanged) {
   InMemoryDataset dataset;
   dataset.Add(Tensor::FromVector({1, 2, 2}, {0.0f, 0.5f, 1.0f, 0.25f}), 3);
   dataset.Add(Tensor::FromVector({1, 2, 2}, {1.0f, 0.0f, 0.75f, 0.5f}), 1);
-  const std::string images_path = TempPath("byte_view_golden_images.idx");
-  const std::string labels_path = TempPath("byte_view_golden_labels.idx");
+  const std::string images_path = TestTempPath("byte_view_golden_images.idx");
+  const std::string labels_path = TestTempPath("byte_view_golden_labels.idx");
   ASSERT_TRUE(SaveMnistIdx(dataset, images_path, labels_path).ok());
 
   std::string images;

@@ -14,13 +14,12 @@
 #include "models/logistic_regression.h"
 #include "nn/checkpoint.h"
 #include "nn/parameter.h"
+#include "test_util.h"
 
 namespace geodp {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing_util::TestTempPath;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -47,7 +46,7 @@ class CheckpointCorruptionTest : public ::testing::Test {
     // A deliberately tiny model keeps the exhaustive sweeps fast.
     Rng source_rng(21);
     source_ = MakeLogisticRegression(16, 4, source_rng);
-    path_ = TempPath("corruption.gdpc");
+    path_ = TestTempPath("corruption.gdpc");
     ASSERT_TRUE(SaveCheckpoint(*source_, path_).ok());
     good_bytes_ = ReadFile(path_);
     ASSERT_GT(good_bytes_.size(), 16u);

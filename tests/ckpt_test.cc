@@ -13,20 +13,13 @@
 #include "ckpt/byte_io.h"
 #include "ckpt/checkpoint.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace geodp {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = TempPath(name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using testing_util::FreshTestTempDir;
+using testing_util::TestTempPath;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -84,6 +77,23 @@ TEST(ByteIoTest, RoundTripsAllTypes) {
   ASSERT_EQ(t.shape(), (std::vector<int64_t>{2, 2}));
   EXPECT_EQ(t[3], 4.0f);
   EXPECT_EQ(r.ReadTensor().numel(), 0);
+  EXPECT_FALSE(r.failed());
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+// Empty vectors decode without copying: memcpy into an empty vector's
+// (null) data() is undefined behaviour even for zero bytes, which the
+// sanitizer build reports.
+TEST(ByteIoTest, EmptyVectorsRoundTrip) {
+  ByteWriter w;
+  w.WriteI64Vector({});
+  w.WriteDoubleVector({});
+  w.WriteU32(0xC0FFEEu);
+
+  ByteReader r(w.bytes());
+  EXPECT_TRUE(r.ReadI64Vector().empty());
+  EXPECT_TRUE(r.ReadDoubleVector().empty());
+  EXPECT_EQ(r.ReadU32(), 0xC0FFEEu);
   EXPECT_FALSE(r.failed());
   EXPECT_EQ(r.remaining(), 0u);
 }
@@ -149,7 +159,7 @@ TrainingCheckpoint MakeCheckpoint(int64_t attempt) {
 }
 
 TEST(CheckpointTest, SaveLoadRoundTripIsExact) {
-  const std::string dir = FreshDir("ckpt_roundtrip");
+  const std::string dir = FreshTestTempDir("ckpt_roundtrip");
   const TrainingCheckpoint original = MakeCheckpoint(17);
   const std::string path = dir + "/" + CheckpointFileName(17);
   ASSERT_TRUE(SaveTrainingCheckpoint(original, path).ok());
@@ -192,7 +202,7 @@ TEST(CheckpointTest, SaveLoadRoundTripIsExact) {
 }
 
 TEST(CheckpointTest, SaveLeavesNoTempFileBehind) {
-  const std::string dir = FreshDir("ckpt_no_tmp");
+  const std::string dir = FreshTestTempDir("ckpt_no_tmp");
   const std::string path = dir + "/" + CheckpointFileName(1);
   ASSERT_TRUE(SaveTrainingCheckpoint(MakeCheckpoint(1), path).ok());
   EXPECT_TRUE(std::filesystem::exists(path));
@@ -200,7 +210,7 @@ TEST(CheckpointTest, SaveLeavesNoTempFileBehind) {
 }
 
 TEST(CheckpointTest, SaveCreatesMissingDirectory) {
-  const std::string dir = TempPath("ckpt_fresh_parent");
+  const std::string dir = TestTempPath("ckpt_fresh_parent");
   std::filesystem::remove_all(dir);
   const std::string path = dir + "/nested/" + CheckpointFileName(3);
   ASSERT_TRUE(SaveTrainingCheckpoint(MakeCheckpoint(3), path).ok());
@@ -208,7 +218,7 @@ TEST(CheckpointTest, SaveCreatesMissingDirectory) {
 }
 
 TEST(CheckpointTest, EveryByteFlipIsDetected) {
-  const std::string dir = FreshDir("ckpt_bitflips");
+  const std::string dir = FreshTestTempDir("ckpt_bitflips");
   const std::string path = dir + "/" + CheckpointFileName(2);
   ASSERT_TRUE(SaveTrainingCheckpoint(MakeCheckpoint(2), path).ok());
   const std::string good = ReadFile(path);
@@ -227,7 +237,7 @@ TEST(CheckpointTest, EveryByteFlipIsDetected) {
 }
 
 TEST(CheckpointTest, EveryTruncationIsDetected) {
-  const std::string dir = FreshDir("ckpt_truncate");
+  const std::string dir = FreshTestTempDir("ckpt_truncate");
   const std::string path = dir + "/" + CheckpointFileName(2);
   ASSERT_TRUE(SaveTrainingCheckpoint(MakeCheckpoint(2), path).ok());
   const std::string good = ReadFile(path);
@@ -239,7 +249,7 @@ TEST(CheckpointTest, EveryTruncationIsDetected) {
 }
 
 TEST(CheckpointTest, FindLatestGoodFallsBackPastCorruptFiles) {
-  const std::string dir = FreshDir("ckpt_fallback");
+  const std::string dir = FreshTestTempDir("ckpt_fallback");
   for (const int64_t attempt : {5, 10, 15}) {
     ASSERT_TRUE(SaveTrainingCheckpoint(MakeCheckpoint(attempt),
                                        dir + "/" +
@@ -259,7 +269,7 @@ TEST(CheckpointTest, FindLatestGoodFallsBackPastCorruptFiles) {
 }
 
 TEST(CheckpointTest, FindLatestGoodReportsEmptyAndAllCorrupt) {
-  const std::string dir = FreshDir("ckpt_empty");
+  const std::string dir = FreshTestTempDir("ckpt_empty");
   EXPECT_FALSE(FindLatestGoodCheckpoint(dir).ok());
 
   const std::string path = dir + "/" + CheckpointFileName(1);
@@ -269,20 +279,32 @@ TEST(CheckpointTest, FindLatestGoodReportsEmptyAndAllCorrupt) {
 }
 
 TEST(CheckpointTest, PruneKeepsNewestFiles) {
-  const std::string dir = FreshDir("ckpt_prune");
+  const std::string dir = FreshTestTempDir("ckpt_prune");
   for (const int64_t attempt : {1, 2, 3, 4, 5}) {
     ASSERT_TRUE(SaveTrainingCheckpoint(MakeCheckpoint(attempt),
                                        dir + "/" +
                                            CheckpointFileName(attempt))
                     .ok());
   }
-  PruneOldCheckpoints(dir, 2);
+  for (const int64_t step : {2, 7, 9}) {
+    WriteFile(dir + "/" + PostmortemFileName(step), "{}\n");
+  }
+  WriteFile(dir + "/postmortem-notes.json", "{}\n");  // not a dump name
+  EXPECT_EQ(PruneOldCheckpoints(dir, 2), 0);
   EXPECT_FALSE(
       std::filesystem::exists(dir + "/" + CheckpointFileName(3)));
   EXPECT_TRUE(
       std::filesystem::exists(dir + "/" + CheckpointFileName(4)));
   EXPECT_TRUE(
       std::filesystem::exists(dir + "/" + CheckpointFileName(5)));
+  // Postmortems are pruned on their own, newest `keep` by step.
+  EXPECT_FALSE(
+      std::filesystem::exists(dir + "/" + PostmortemFileName(2)));
+  EXPECT_TRUE(
+      std::filesystem::exists(dir + "/" + PostmortemFileName(7)));
+  EXPECT_TRUE(
+      std::filesystem::exists(dir + "/" + PostmortemFileName(9)));
+  EXPECT_TRUE(std::filesystem::exists(dir + "/postmortem-notes.json"));
 }
 
 class FaultInjectionTest : public ::testing::Test {
@@ -316,7 +338,7 @@ TEST_F(FaultInjectionTest, FiresOnlyOnConfiguredHit) {
 }
 
 TEST_F(FaultInjectionTest, ShortWriteProducesRejectedFileWithFallback) {
-  const std::string dir = FreshDir("ckpt_shortwrite");
+  const std::string dir = FreshTestTempDir("ckpt_shortwrite");
   const std::string good_path = dir + "/" + CheckpointFileName(1);
   ASSERT_TRUE(SaveTrainingCheckpoint(MakeCheckpoint(1), good_path).ok());
 
@@ -336,7 +358,7 @@ TEST_F(FaultInjectionTest, ShortWriteProducesRejectedFileWithFallback) {
 }
 
 TEST_F(FaultInjectionTest, BitFlipProducesRejectedFileWithFallback) {
-  const std::string dir = FreshDir("ckpt_bitflip_save");
+  const std::string dir = FreshTestTempDir("ckpt_bitflip_save");
   ASSERT_TRUE(SaveTrainingCheckpoint(MakeCheckpoint(1),
                                      dir + "/" + CheckpointFileName(1))
                   .ok());

@@ -14,14 +14,18 @@
 #include "base/byte_view.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
+#include "ckpt/checkpoint.h"
 #include "data/synthetic_images.h"
 #include "models/logistic_regression.h"
 #include "nn/parameter.h"
 #include "obs/step_observer.h"
 #include "optim/trainer.h"
+#include "test_util.h"
 
 namespace geodp {
 namespace {
+
+using testing_util::FreshTestTempDir;
 
 InMemoryDataset MakeTrainSet(int64_t n, uint64_t seed) {
   SyntheticImageOptions options;
@@ -38,13 +42,6 @@ InMemoryDataset MakeTrainSet(int64_t n, uint64_t seed) {
 std::unique_ptr<Sequential> MakeModel(uint64_t seed) {
   Rng rng(seed);
   return MakeLogisticRegression(64, 10, rng);
-}
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 // Raw IEEE-754 bytes of the flattened model weights — equality here is
@@ -108,7 +105,7 @@ void CheckBitIdenticalResume(const TrainerOptions& base,
   for (const int64_t k : kill_points) {
     SCOPED_TRACE("kill at iteration " + std::to_string(k));
     const std::string dir =
-        FreshDir(dir_name + "_k" + std::to_string(k));
+        FreshTestTempDir(dir_name + "_k" + std::to_string(k));
 
     // Part 1 simulates the killed run: it checkpoints after every attempt
     // and stops after k accepted updates. The first k steps of a run do
@@ -193,7 +190,7 @@ TEST(CrashResumeTest, AdamImportanceSamplingBitIdentical) {
 
 TEST(CrashResumeTest, ResumeExtendsTraining) {
   const InMemoryDataset train = MakeTrainSet(80, 50);
-  const std::string dir = FreshDir("resume_extend");
+  const std::string dir = FreshTestTempDir("resume_extend");
 
   TrainerOptions part1 = BaseOptions();
   part1.iterations = 10;
@@ -232,7 +229,7 @@ TEST(CrashResumeTest, ResumeRefusesCrossClipMode) {
   // paths are equivalent only up to floating-point tolerance, not bit
   // layout.
   const InMemoryDataset train = MakeTrainSet(80, 50);
-  const std::string dir = FreshDir("resume_cross_mode");
+  const std::string dir = FreshTestTempDir("resume_cross_mode");
 
   TrainerOptions part1 = BaseOptions();
   part1.iterations = 5;
@@ -250,7 +247,7 @@ TEST(CrashResumeTest, ResumeRefusesCrossClipMode) {
 
 TEST(CrashResumeTest, ResumeRefusesMismatchedOptions) {
   const InMemoryDataset train = MakeTrainSet(80, 50);
-  const std::string dir = FreshDir("resume_mismatch");
+  const std::string dir = FreshTestTempDir("resume_mismatch");
 
   TrainerOptions part1 = BaseOptions();
   part1.iterations = 5;
@@ -269,7 +266,7 @@ TEST(CrashResumeTest, ResumeRefusesMismatchedOptions) {
 TEST(CrashResumeTest, ResumeFromEmptyDirectoryFails) {
   const InMemoryDataset train = MakeTrainSet(80, 50);
   TrainerOptions options = BaseOptions();
-  options.resume_from = FreshDir("resume_nothing");
+  options.resume_from = FreshTestTempDir("resume_nothing");
   const SegmentOutput resumed = RunSegment(train, options, 7);
   EXPECT_FALSE(resumed.ok);
   EXPECT_EQ(resumed.status.code(), StatusCode::kNotFound);
@@ -277,7 +274,7 @@ TEST(CrashResumeTest, ResumeFromEmptyDirectoryFails) {
 
 TEST(CrashResumeTest, CheckpointKeepBoundsFileCount) {
   const InMemoryDataset train = MakeTrainSet(80, 50);
-  const std::string dir = FreshDir("resume_keep");
+  const std::string dir = FreshTestTempDir("resume_keep");
   TrainerOptions options = BaseOptions();
   options.iterations = 12;
   options.checkpoint_every = 1;
@@ -285,8 +282,9 @@ TEST(CrashResumeTest, CheckpointKeepBoundsFileCount) {
   options.checkpoint_keep = 3;
   ASSERT_TRUE(RunSegment(train, options, 7).ok);
 
-  // Postmortem dumps piggyback on checkpoints but live outside the
-  // ckpt_* prune pattern; keep bounds checkpoints, not postmortems.
+  // Postmortem dumps piggyback on checkpoints and are pruned with them:
+  // the prune keeps the newest `keep`, then the newest checkpoint's own
+  // dump lands, at the resume point.
   int64_t checkpoints = 0;
   int64_t postmortems = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -295,12 +293,34 @@ TEST(CrashResumeTest, CheckpointKeepBoundsFileCount) {
     postmortems += name.rfind("postmortem-", 0) == 0 ? 1 : 0;
   }
   EXPECT_EQ(checkpoints, 3);
-  EXPECT_GE(postmortems, 1);
+  EXPECT_EQ(postmortems, 4);
+  EXPECT_TRUE(std::filesystem::exists(dir + "/" + PostmortemFileName(12)));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/" + PostmortemFileName(8)));
+}
+
+// A resumed run keeps the postmortem the crashed run left at the resume
+// point, however many checkpoints it prunes after it.
+TEST(CrashResumeTest, ResumePointPostmortemSurvivesPruning) {
+  const InMemoryDataset train = MakeTrainSet(80, 50);
+  const std::string dir = FreshTestTempDir("resume_pinned");
+  TrainerOptions options = BaseOptions();
+  options.iterations = 5;
+  options.checkpoint_every = 1;
+  options.checkpoint_dir = dir;
+  options.checkpoint_keep = 2;
+  ASSERT_TRUE(RunSegment(train, options, 7).ok);
+
+  options.iterations = 12;
+  options.resume_from = dir;
+  ASSERT_TRUE(RunSegment(train, options, 999).ok);
+  EXPECT_TRUE(std::filesystem::exists(dir + "/" + PostmortemFileName(5)));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/" + PostmortemFileName(6)));
+  EXPECT_TRUE(std::filesystem::exists(dir + "/" + PostmortemFileName(12)));
 }
 
 TEST(CrashResumeTest, NoCheckpointFilesWhenDisabled) {
   const InMemoryDataset train = MakeTrainSet(80, 50);
-  const std::string dir = FreshDir("resume_disabled");
+  const std::string dir = FreshTestTempDir("resume_disabled");
   TrainerOptions options = BaseOptions();
   options.iterations = 5;
   options.checkpoint_every = 0;  // off: the loop must write nothing

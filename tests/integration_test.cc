@@ -18,9 +18,12 @@
 #include "optim/dp_sgd.h"
 #include "optim/trainer.h"
 #include "tensor/tensor_ops.h"
+#include "test_util.h"
 
 namespace geodp {
 namespace {
+
+using testing_util::TestTempPath;
 
 InMemoryDataset SmallSet(uint64_t seed) {
   SyntheticImageOptions options;
@@ -81,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CheckpointResumeTest, TrainingContinuesFromCheckpoint) {
   const InMemoryDataset train = SmallSet(71);
-  const std::string path = ::testing::TempDir() + "/resume.gdpc";
+  const std::string path = TestTempPath("resume.gdpc");
 
   // Train 30 iterations in one go.
   Rng rng_a(72);

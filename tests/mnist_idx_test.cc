@@ -10,13 +10,12 @@
 #include "data/mnist_idx.h"
 #include "data/synthetic_images.h"
 #include "tensor/tensor_ops.h"
+#include "test_util.h"
 
 namespace geodp {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing_util::TestTempPath;
 
 TEST(MnistIdxTest, RoundTripThroughIdxFiles) {
   SyntheticImageOptions options;
@@ -25,8 +24,8 @@ TEST(MnistIdxTest, RoundTripThroughIdxFiles) {
   options.seed = 3;
   const InMemoryDataset original = MakeMnistLike(options);
 
-  const std::string images_path = TempPath("imgs.idx3");
-  const std::string labels_path = TempPath("lbls.idx1");
+  const std::string images_path = TestTempPath("imgs.idx3");
+  const std::string labels_path = TestTempPath("lbls.idx1");
   ASSERT_TRUE(SaveMnistIdx(original, images_path, labels_path).ok());
 
   StatusOr<InMemoryDataset> loaded = LoadMnistIdx(images_path, labels_path);
@@ -52,8 +51,8 @@ TEST(MnistIdxTest, MaxExamplesLimitsLoad) {
   options.num_examples = 10;
   options.seed = 4;
   const InMemoryDataset original = MakeMnistLike(options);
-  const std::string images_path = TempPath("imgs2.idx3");
-  const std::string labels_path = TempPath("lbls2.idx1");
+  const std::string images_path = TestTempPath("imgs2.idx3");
+  const std::string labels_path = TestTempPath("lbls2.idx1");
   ASSERT_TRUE(SaveMnistIdx(original, images_path, labels_path).ok());
   StatusOr<InMemoryDataset> loaded =
       LoadMnistIdx(images_path, labels_path, /*max_examples=*/4);
@@ -71,8 +70,8 @@ TEST(MnistIdxTest, MissingFilesFail) {
 }
 
 TEST(MnistIdxTest, BadMagicFails) {
-  const std::string images_path = TempPath("bad.idx3");
-  const std::string labels_path = TempPath("bad.idx1");
+  const std::string images_path = TestTempPath("bad.idx3");
+  const std::string labels_path = TestTempPath("bad.idx1");
   {
     std::ofstream out(images_path, std::ios::binary);
     out << "not an idx file at all";
@@ -93,8 +92,8 @@ TEST(MnistIdxTest, TruncatedDataFails) {
   options.num_examples = 6;
   options.seed = 5;
   const InMemoryDataset original = MakeMnistLike(options);
-  const std::string images_path = TempPath("trunc.idx3");
-  const std::string labels_path = TempPath("trunc.idx1");
+  const std::string images_path = TestTempPath("trunc.idx3");
+  const std::string labels_path = TestTempPath("trunc.idx1");
   ASSERT_TRUE(SaveMnistIdx(original, images_path, labels_path).ok());
   // Chop the image file in half.
   {
@@ -118,10 +117,10 @@ TEST(MnistIdxTest, CountMismatchFails) {
   const InMemoryDataset a = MakeMnistLike(options);
   options.num_examples = 7;
   const InMemoryDataset b = MakeMnistLike(options);
-  const std::string images_a = TempPath("a.idx3");
-  const std::string labels_a = TempPath("a.idx1");
-  const std::string images_b = TempPath("b.idx3");
-  const std::string labels_b = TempPath("b.idx1");
+  const std::string images_a = TestTempPath("a.idx3");
+  const std::string labels_a = TestTempPath("a.idx1");
+  const std::string images_b = TestTempPath("b.idx3");
+  const std::string labels_b = TestTempPath("b.idx1");
   ASSERT_TRUE(SaveMnistIdx(a, images_a, labels_a).ok());
   ASSERT_TRUE(SaveMnistIdx(b, images_b, labels_b).ok());
   // 5 images with 7 labels.

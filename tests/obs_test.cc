@@ -18,13 +18,12 @@
 #include "obs/step_observer.h"
 #include "obs/trace.h"
 #include "optim/trainer.h"
+#include "test_util.h"
 
 namespace geodp {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing_util::TestTempPath;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path);
@@ -139,7 +138,7 @@ TEST(MetricsRegistryTest, WriteJsonlMatchesToJsonl) {
   MetricsRegistry registry;
   registry.IncrementCounter("steps", 7);
   registry.ObserveHistogram("h", {1.0}, 0.5);
-  const std::string path = TempPath("metrics_registry.jsonl");
+  const std::string path = TestTempPath("metrics_registry.jsonl");
   ASSERT_TRUE(registry.WriteJsonl(path).ok());
   EXPECT_EQ(ReadFile(path), registry.ToJsonl());
 }
@@ -162,7 +161,7 @@ TEST(TraceTest, SpanIsFreeWhenDisabled) {
 }
 
 TEST(TraceTest, SpansBufferAndFlushAsTraceJson) {
-  const std::string path = TempPath("trace.json");
+  const std::string path = TestTempPath("trace.json");
   EnableTracing(path);
   {
     TraceSpan outer("outer");
@@ -180,7 +179,7 @@ TEST(TraceTest, SpansBufferAndFlushAsTraceJson) {
 }
 
 TEST(TraceTest, RepeatedFlushNeverTruncates) {
-  const std::string path = TempPath("trace_reflush.json");
+  const std::string path = TestTempPath("trace_reflush.json");
   EnableTracing(path);
   {
     TraceSpan span("first");
@@ -193,7 +192,7 @@ TEST(TraceTest, RepeatedFlushNeverTruncates) {
 }
 
 TEST(TraceTest, ThreadPoolPartsShowUpAsPoolSlices) {
-  const std::string path = TempPath("trace_pool.json");
+  const std::string path = TestTempPath("trace_pool.json");
   SetGlobalThreadCount(4);
   EnableTracing(path);
   ParallelFor(0, 1 << 14, 256, [](int64_t, int64_t) {});
@@ -235,7 +234,7 @@ TEST(StepObserverTest, StepRecordToJsonHasFixedKeyOrder) {
 }
 
 TEST(StepObserverTest, JsonlWriterWritesOneLinePerRecord) {
-  const std::string path = TempPath("steps.jsonl");
+  const std::string path = TestTempPath("steps.jsonl");
   JsonlStepWriter writer(path);
   ASSERT_TRUE(writer.status().ok());
   StepRecord record;

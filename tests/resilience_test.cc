@@ -32,22 +32,15 @@
 #include "obs/metrics.h"
 #include "obs/step_observer.h"
 #include "optim/trainer.h"
+#include "test_util.h"
 
 namespace geodp {
 namespace {
 
+using testing_util::FreshTestTempDir;
+using testing_util::TestTempPath;
+
 using Action = FaultInjector::Action;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = TempPath(name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 // Every test disarms on exit so a failing assertion cannot leak an armed
 // fail point into an unrelated test.
@@ -120,7 +113,7 @@ TEST_F(ResilienceTest, RetryStateHonorsDeadline) {
 }
 
 TEST_F(ResilienceTest, AtomicWriteThenReadRoundTrips) {
-  const std::string dir = FreshDir("resilience_rw");
+  const std::string dir = FreshTestTempDir("resilience_rw");
   const std::string path = dir + "/nested/not/yet/made/data.bin";
   const std::string bytes("geodp\0payload\n", 14);  // embedded NUL
   ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());   // creates parents
@@ -134,7 +127,7 @@ TEST_F(ResilienceTest, AtomicWriteThenReadRoundTrips) {
 }
 
 TEST_F(ResilienceTest, TransientReadFaultIsRetriedToSuccess) {
-  const std::string dir = FreshDir("resilience_read_retry");
+  const std::string dir = FreshTestTempDir("resilience_read_retry");
   ASSERT_TRUE(AtomicWriteFile(dir + "/f", "payload").ok());
   ASSERT_TRUE(FaultInjector::ArmFromSpec("test.read@1:eio").ok());
   const int64_t retries_before = IoStats::Global().retries.load();
@@ -146,7 +139,7 @@ TEST_F(ResilienceTest, TransientReadFaultIsRetriedToSuccess) {
 }
 
 TEST_F(ResilienceTest, PermanentWriteFaultSurfacesTypedAndLeavesNoTemp) {
-  const std::string dir = FreshDir("resilience_enospc");
+  const std::string dir = FreshTestTempDir("resilience_enospc");
   ASSERT_TRUE(FaultInjector::ArmFromSpec("test.write@1:enospc").ok());
   const Status status =
       AtomicWriteFile(dir + "/f", "x", RetryPolicy{}, "test.write");
@@ -162,7 +155,7 @@ TEST_F(ResilienceTest, PermanentWriteFaultSurfacesTypedAndLeavesNoTemp) {
 }
 
 TEST_F(ResilienceTest, ExhaustedTransientRetriesReturnUnavailable) {
-  const std::string dir = FreshDir("resilience_exhaust");
+  const std::string dir = FreshTestTempDir("resilience_exhaust");
   ASSERT_TRUE(FaultInjector::ArmFromSpec("test.write@p=1:eio").ok());
   RetryPolicy policy;
   policy.initial_backoff_us = 1;
@@ -181,7 +174,7 @@ TEST_F(ResilienceTest, TornRenameWritesTruncatedBytes) {
   // torn_rename simulates a torn file landing durably in place. The
   // substrate reports success — catching the corruption is the CRC
   // layer's job (ckpt_test pins that the checkpoint format rejects it).
-  const std::string dir = FreshDir("resilience_torn");
+  const std::string dir = FreshTestTempDir("resilience_torn");
   ASSERT_TRUE(FaultInjector::ArmFromSpec("test.write@1:torn_rename").ok());
   const std::string bytes = "0123456789abcdef";
   ASSERT_TRUE(
@@ -196,7 +189,7 @@ TEST_F(ResilienceTest, RetryingWriterDropsAppendsAfterStickyFailure) {
   ASSERT_TRUE(FaultInjector::ArmFromSpec("test.jsonl@p=1:eio").ok());
   RetryPolicy policy;
   policy.initial_backoff_us = 1;
-  RetryingWriter writer(TempPath("resilience_writer.jsonl"), policy,
+  RetryingWriter writer(TestTempPath("resilience_writer.jsonl"), policy,
                         "test.jsonl");
   EXPECT_FALSE(writer.Open().ok());
   EXPECT_FALSE(writer.open());
@@ -366,7 +359,7 @@ ObservedRun RunWithJsonlSink(const std::string& jsonl_path,
 
 TEST_F(ResilienceTest, TelemetryLossDegradesButNeverPerturbsTraining) {
   MetricsRegistry::Global().Reset();
-  const std::string dir = FreshDir("resilience_degraded");
+  const std::string dir = FreshTestTempDir("resilience_degraded");
 
   SetGlobalThreadCount(1);
   const ObservedRun reference =
@@ -406,7 +399,7 @@ TEST_F(ResilienceTest, CheckpointMissDebtBoundAbortsWithContext) {
   CollectingStepObserver observer;  // enables io-stat mirroring
   TrainerOptions options = BaseOptions();
   options.step_observer = &observer;
-  options.checkpoint_dir = FreshDir("resilience_missdebt");
+  options.checkpoint_dir = FreshTestTempDir("resilience_missdebt");
   options.checkpoint_every = 1;
   options.max_missed_checkpoints = 1;
   ASSERT_TRUE(FaultInjector::ArmFromSpec("ckpt.write_io@p=1:eio").ok());
@@ -430,7 +423,7 @@ TEST_F(ResilienceTest, CheckpointMissesWithinBoundDoNotPerturbTraining) {
   }
 
   auto model = MakeModel(7);
-  options.checkpoint_dir = FreshDir("resilience_missok");
+  options.checkpoint_dir = FreshTestTempDir("resilience_missok");
   options.checkpoint_every = 1;
   options.max_missed_checkpoints = options.iterations;  // absorb them all
   ASSERT_TRUE(FaultInjector::ArmFromSpec("ckpt.write_io@p=1:eio").ok());
@@ -445,7 +438,7 @@ TEST_F(ResilienceTest, PruneErrorsAreCountedNeverFatal) {
   const InMemoryDataset train = MakeTrainSet(50);
   auto model = MakeModel(7);
   TrainerOptions options = BaseOptions();
-  options.checkpoint_dir = FreshDir("resilience_prune");
+  options.checkpoint_dir = FreshTestTempDir("resilience_prune");
   options.checkpoint_every = 1;
   options.checkpoint_keep = 1;
   ASSERT_TRUE(FaultInjector::ArmFromSpec("ckpt.prune@p=1:eio").ok());
@@ -477,7 +470,7 @@ TEST_F(ResilienceTest, StallWatchdogCancelsFlushesAndResumes) {
   // watchdog only tolerates 200ms without a heartbeat. The loop must
   // cancel cooperatively at the next attempt boundary, flush a final
   // checkpoint, and report kCancelled.
-  const std::string dir = FreshDir("resilience_stall");
+  const std::string dir = FreshTestTempDir("resilience_stall");
   auto stalled_model = MakeModel(7);
   TrainingStatusPublisher publisher;
   TrainerOptions stalled = base;

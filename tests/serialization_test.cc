@@ -14,13 +14,12 @@
 #include "nn/parameter.h"
 #include "tensor/serialization.h"
 #include "tensor/tensor_ops.h"
+#include "test_util.h"
 
 namespace geodp {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing_util::TestTempPath;
 
 TEST(TensorSerializationTest, StreamRoundTrip) {
   Rng rng(1);
@@ -127,7 +126,7 @@ TEST(TensorSerializationTest, EmptyTensorRoundTrips) {
 TEST(TensorSerializationTest, FileRoundTrip) {
   Rng rng(4);
   const Tensor original = Tensor::Randn({7, 3}, rng);
-  const std::string path = TempPath("tensor.gdpt");
+  const std::string path = TestTempPath("tensor.gdpt");
   ASSERT_TRUE(SaveTensorToFile(original, path).ok());
   StatusOr<Tensor> restored = LoadTensorFromFile(path);
   ASSERT_TRUE(restored.ok());
@@ -146,7 +145,7 @@ TEST(CheckpointTest, CnnRoundTrip) {
   CnnConfig config;
   config.image_size = 8;
   auto model = MakeCnn(config, rng);
-  const std::string path = TempPath("cnn.gdpc");
+  const std::string path = TestTempPath("cnn.gdpc");
   ASSERT_TRUE(SaveCheckpoint(*model, path).ok());
 
   Rng rng2(999);  // different init
@@ -166,7 +165,7 @@ TEST(CheckpointTest, RestoredModelComputesSameOutput) {
   config.hidden_dims = {8};
   config.num_classes = 4;
   auto model = MakeMlp(config, rng);
-  const std::string path = TempPath("mlp.gdpc");
+  const std::string path = TestTempPath("mlp.gdpc");
   ASSERT_TRUE(SaveCheckpoint(*model, path).ok());
 
   Rng rng2(7);
@@ -185,7 +184,7 @@ TEST(CheckpointTest, StructureMismatchFails) {
   large.input_dim = 16;
   large.hidden_dims = {8, 8};
   auto model = MakeMlp(small, rng);
-  const std::string path = TempPath("mismatch.gdpc");
+  const std::string path = TestTempPath("mismatch.gdpc");
   ASSERT_TRUE(SaveCheckpoint(*model, path).ok());
   auto other = MakeMlp(large, rng);
   const Status status = LoadCheckpoint(*other, path);
@@ -202,7 +201,7 @@ TEST(CheckpointTest, ShapeMismatchFails) {
   b.input_dim = 16;
   b.hidden_dims = {12};  // same structure, different width
   auto model = MakeMlp(a, rng);
-  const std::string path = TempPath("shape.gdpc");
+  const std::string path = TestTempPath("shape.gdpc");
   ASSERT_TRUE(SaveCheckpoint(*model, path).ok());
   auto other = MakeMlp(b, rng);
   EXPECT_FALSE(LoadCheckpoint(*other, path).ok());

@@ -1,10 +1,15 @@
-// Shared helpers for the unit tests: finite-difference gradient checking
-// against the analytic backward passes.
+// Shared helpers for the unit tests: per-test temporary paths, and
+// finite-difference gradient checking against the analytic backward passes.
 
 #ifndef GEODP_TESTS_TEST_UTIL_H_
 #define GEODP_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include "base/rng.h"
 #include "nn/module.h"
@@ -14,6 +19,34 @@
 
 namespace geodp {
 namespace testing_util {
+
+// Path of `name` inside a temporary directory owned by the running test:
+// <TempDir>/geodp-<suite>.<test>/<name>. ctest runs every test in its own
+// process, in parallel under -j, so a name shared by two tests would
+// otherwise let one test overwrite or delete the other's files. The
+// directory is created on first use; `name` itself is not.
+inline std::string TestTempPath(const std::string& name) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string owner = info == nullptr ? std::string("no-test")
+                                      : std::string(info->test_suite_name()) +
+                                            "." + info->name();
+  // Parameterized tests are named "Prefix/Suite.Test/3".
+  std::replace(owner.begin(), owner.end(), '/', '_');
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / ("geodp-" + owner);
+  std::filesystem::create_directories(dir);
+  return (dir / name).string();
+}
+
+// TestTempPath(name) as an empty directory, removing what an earlier run
+// of the same test left there.
+inline std::string FreshTestTempDir(const std::string& name) {
+  const std::string dir = TestTempPath(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
 
 // Scalar objective used by the checks: f(x) = sum_i c_i * layer(x)_i with
 // fixed random coefficients c, whose analytic gradient seed is simply c.
