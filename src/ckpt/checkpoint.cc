@@ -5,17 +5,18 @@
 #include <cstring>
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
 #include <utility>
 
 #include "base/crc32.h"
 #include "base/fault_injection.h"
 #include "base/io/file_io.h"
-#include "ckpt/byte_io.h"
+#include "tensor/byte_io.h"
 
 namespace geodp {
 namespace {
 
-constexpr std::array<char, 4> kMagic = {'G', 'D', 'P', 'K'};
+constexpr std::string_view kMagic = "GDPK";
 constexpr uint32_t kVersion = 1;
 // magic + version + payload_len + crc
 constexpr uint64_t kEnvelopeBytes = 4 + 4 + 8 + 4;
@@ -109,7 +110,7 @@ std::string EncodePayload(const TrainingCheckpoint& c) {
   return w.TakeBytes();
 }
 
-StatusOr<TrainingCheckpoint> DecodePayload(const std::string& payload) {
+StatusOr<TrainingCheckpoint> DecodePayload(std::string_view payload) {
   ByteReader r(payload);
   TrainingCheckpoint c;
   c.next_attempt = r.ReadI64();
@@ -186,16 +187,6 @@ StatusOr<TrainingCheckpoint> DecodePayload(const std::string& payload) {
   return c;
 }
 
-// Appends `value` to `out` in little-endian byte order regardless of host
-// endianness (the repo targets little-endian hosts; this keeps the format
-// well-defined anyway).
-template <typename T>
-void AppendPod(std::string& out, T value) {
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.append(bytes, sizeof(T));
-}
-
 // Parses the number out of "<prefix><digits><suffix>" (e.g.
 // "ckpt_000000123.gdpk"); -1 when the name does not match that pattern.
 int64_t ParseNumberedName(const std::string& filename, const char* prefix,
@@ -267,13 +258,14 @@ Status SaveTrainingCheckpoint(const TrainingCheckpoint& checkpoint,
   if (payload.size() > kMaxPayloadBytes) {
     return Status::InvalidArgument("checkpoint payload exceeds size bound");
   }
-  std::string file_bytes;
-  file_bytes.reserve(payload.size() + kEnvelopeBytes);
-  file_bytes.append(kMagic.data(), kMagic.size());
-  AppendPod<uint32_t>(file_bytes, kVersion);
-  AppendPod<uint64_t>(file_bytes, payload.size());
-  file_bytes.append(payload);
-  AppendPod<uint32_t>(file_bytes, Crc32(payload.data(), payload.size()));
+  ByteWriter file;
+  file.Reserve(payload.size() + kEnvelopeBytes);
+  file.WriteBytes(kMagic);
+  file.WriteU32(kVersion);
+  file.WriteU64(payload.size());
+  file.WriteBytes(payload);
+  file.WriteU32(Crc32(payload.data(), payload.size()));
+  std::string file_bytes = file.TakeBytes();
 
   switch (faults.Fire("ckpt.write")) {
     case FaultInjector::Action::kShortWrite:
@@ -310,30 +302,25 @@ StatusOr<TrainingCheckpoint> LoadTrainingCheckpoint(const std::string& path) {
   if (bytes.size() < kEnvelopeBytes) {
     return Status::InvalidArgument("truncated checkpoint file: " + path);
   }
-  if (std::memcmp(bytes.data(), kMagic.data(), kMagic.size()) != 0) {
+  ByteReader file(bytes);
+  if (file.ReadBytes(kMagic.size()) != kMagic) {
     return Status::InvalidArgument("bad checkpoint magic: " + path);
   }
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 4, sizeof(version));
-  if (version != kVersion) {
+  if (file.ReadU32() != kVersion) {
     return Status::InvalidArgument("unsupported checkpoint version: " + path);
   }
-  uint64_t payload_length = 0;
-  std::memcpy(&payload_length, bytes.data() + 8, sizeof(payload_length));
+  // The size check above guarantees the header and the CRC are present.
+  const uint64_t payload_length = file.ReadU64();
   if (payload_length > kMaxPayloadBytes ||
       payload_length != bytes.size() - kEnvelopeBytes) {
     return Status::InvalidArgument("checkpoint length mismatch: " + path);
   }
-  const char* payload_begin = bytes.data() + 16;
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, payload_begin + payload_length,
-              sizeof(stored_crc));
-  if (stored_crc != Crc32(payload_begin, payload_length)) {
+  const std::string_view payload = file.ReadBytes(payload_length);
+  if (file.ReadU32() != Crc32(payload.data(), payload.size())) {
     return Status::InvalidArgument("checkpoint checksum mismatch: " + path);
   }
 
-  StatusOr<TrainingCheckpoint> decoded = DecodePayload(
-      std::string(payload_begin, static_cast<size_t>(payload_length)));
+  StatusOr<TrainingCheckpoint> decoded = DecodePayload(payload);
   if (!decoded.ok()) {
     return Status(decoded.status().code(),
                   decoded.status().message() + ": " + path);

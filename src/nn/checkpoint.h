@@ -16,9 +16,9 @@ namespace geodp {
 /// verified by name and shape.
 Status SaveCheckpoint(Layer& model, const std::string& path);
 
-/// Restores parameters saved by SaveCheckpoint. Fails (without partial
-/// mutation of values already validated) if names, order, count or shapes
-/// do not match.
+/// Restores parameters saved by SaveCheckpoint. Fails (without mutating
+/// the model) if names, order, count or shapes do not match, if any record
+/// is corrupt, or if bytes follow the last parameter.
 Status LoadCheckpoint(Layer& model, const std::string& path);
 
 }  // namespace geodp

@@ -11,21 +11,13 @@
 
 namespace geodp {
 
-/// Which convolution algorithm Conv2d uses.
-enum class ConvImpl {
-  kDirect,  // reference nested loops; easy to audit
-  kIm2Col,  // lowering to matmul (nn/im2col.h); faster, default
-};
-
 /// Convolution mapping [B, in_channels, H, W] ->
-/// [B, out_channels, H - k + 1 + 2p, W - k + 1 + 2p] with square kernels.
-/// Two interchangeable implementations (tested to be bit-identical up to
-/// float accumulation order): direct loops and im2col+matmul.
+/// [B, out_channels, H - k + 1 + 2p, W - k + 1 + 2p] with square kernels,
+/// lowered to matmul via im2col (nn/im2col.h).
 class Conv2d : public Layer {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
-         Rng& rng, int64_t padding = 0, bool with_bias = true,
-         ConvImpl impl = ConvImpl::kIm2Col);
+         Rng& rng, int64_t padding = 0, bool with_bias = true);
 
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
@@ -34,8 +26,7 @@ class Conv2d : public Layer {
   // Ghost clipping via the im2col unfolding: sample b's weight gradient
   // is G_b = gy_b cols_b^T ([OC, IC*K*K]) — tiny next to a whole-model
   // per-sample gradient — so its norm is taken and G_b discarded, then a
-  // second weighted pass accumulates. Works for both ConvImpl choices
-  // (the gradient is implementation-independent).
+  // second weighted pass accumulates.
   bool SupportsGhostClip() override { return true; }
   Tensor GhostBackward(
       const Tensor& grad_output,
@@ -48,20 +39,13 @@ class Conv2d : public Layer {
   int64_t out_channels() const { return out_channels_; }
   int64_t kernel_size() const { return kernel_size_; }
   int64_t padding() const { return padding_; }
-  ConvImpl impl() const { return impl_; }
 
  private:
-  Tensor ForwardDirect(const Tensor& input);
-  Tensor BackwardDirect(const Tensor& grad_output);
-  Tensor ForwardIm2Col(const Tensor& input);
-  Tensor BackwardIm2Col(const Tensor& grad_output);
-
   int64_t in_channels_;
   int64_t out_channels_;
   int64_t kernel_size_;
   int64_t padding_;
   bool with_bias_;
-  ConvImpl impl_;
   Parameter weight_;  // [OC, IC, K, K]
   Parameter bias_;    // [OC]
   Tensor cached_input_;

@@ -1,18 +1,22 @@
-// Bounds-checked binary encoding for checkpoint payloads.
+// Bounds-checked binary encoding: the one codec behind every wire format
+// in the library (GDPT tensor records, GDPC model checkpoints, GDPK
+// training checkpoints).
 //
 // ByteWriter appends fixed-width little-endian primitives to an in-memory
 // buffer; ByteReader decodes them with explicit bounds checks, so a
-// truncated or bit-flipped payload turns into a failed() reader instead of
-// undefined behavior. Doubles and floats are serialized as raw IEEE-754
+// truncated or bit-flipped buffer turns into a failed() reader instead of
+// undefined behavior, and a corrupt length is refused before anything is
+// allocated for it. Doubles and floats are serialized as raw IEEE-754
 // bytes: a round-trip is bit-exact, which the resume-determinism guarantee
 // depends on.
 
-#ifndef GEODP_CKPT_BYTE_IO_H_
-#define GEODP_CKPT_BYTE_IO_H_
+#ifndef GEODP_TENSOR_BYTE_IO_H_
+#define GEODP_TENSOR_BYTE_IO_H_
 
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -22,44 +26,50 @@ namespace geodp {
 /// Appends primitives to a growing byte buffer.
 class ByteWriter {
  public:
-  void WriteU8(uint8_t value) { Append(&value, sizeof(value)); }
-  void WriteU32(uint32_t value) { Append(&value, sizeof(value)); }
-  void WriteU64(uint64_t value) { Append(&value, sizeof(value)); }
-  void WriteI64(int64_t value) { Append(&value, sizeof(value)); }
-  void WriteDouble(double value) { Append(&value, sizeof(value)); }
+  void WriteU8(uint8_t value) { WriteBytes(&value, sizeof(value)); }
+  void WriteU32(uint32_t value) { WriteBytes(&value, sizeof(value)); }
+  void WriteU64(uint64_t value) { WriteBytes(&value, sizeof(value)); }
+  void WriteI64(int64_t value) { WriteBytes(&value, sizeof(value)); }
+  void WriteDouble(double value) { WriteBytes(&value, sizeof(value)); }
   void WriteBool(bool value) { WriteU8(value ? 1 : 0); }
+
+  /// Raw bytes with no length prefix (magics, nested records, data).
+  void WriteBytes(const void* data, size_t size) {
+    buffer_.append(static_cast<const char*>(data), size);
+  }
+  void WriteBytes(std::string_view bytes) {
+    WriteBytes(bytes.data(), bytes.size());
+  }
 
   void WriteString(const std::string& value) {
     WriteU64(value.size());
-    Append(value.data(), value.size());
+    WriteBytes(value);
   }
 
   void WriteI64Vector(const std::vector<int64_t>& values) {
     WriteU64(values.size());
-    Append(values.data(), values.size() * sizeof(int64_t));
+    WriteBytes(values.data(), values.size() * sizeof(int64_t));
   }
 
   void WriteDoubleVector(const std::vector<double>& values) {
     WriteU64(values.size());
-    Append(values.data(), values.size() * sizeof(double));
+    WriteBytes(values.data(), values.size() * sizeof(double));
   }
 
   /// Shape + raw float32 data (payload-internal format; the enclosing
   /// checkpoint's CRC covers it, so no per-tensor trailer).
   void WriteTensor(const Tensor& tensor) {
     WriteI64Vector(tensor.shape());
-    Append(tensor.data(),
-           static_cast<size_t>(tensor.numel()) * sizeof(float));
+    WriteBytes(tensor.data(),
+               static_cast<size_t>(tensor.numel()) * sizeof(float));
   }
 
+  void Reserve(size_t bytes) { buffer_.reserve(bytes); }
+  size_t size() const { return buffer_.size(); }
   const std::string& bytes() const { return buffer_; }
   std::string TakeBytes() { return std::move(buffer_); }
 
  private:
-  void Append(const void* data, size_t size) {
-    buffer_.append(static_cast<const char*>(data), size);
-  }
-
   std::string buffer_;
 };
 
@@ -70,7 +80,7 @@ class ByteReader {
  public:
   ByteReader(const void* data, size_t size)
       : data_(static_cast<const char*>(data)), size_(size) {}
-  explicit ByteReader(const std::string& bytes)
+  explicit ByteReader(std::string_view bytes)
       : ByteReader(bytes.data(), bytes.size()) {}
 
   uint8_t ReadU8() { return ReadPod<uint8_t>(); }
@@ -80,20 +90,28 @@ class ByteReader {
   double ReadDouble() { return ReadPod<double>(); }
   bool ReadBool() { return ReadU8() != 0; }
 
-  std::string ReadString() {
-    const uint64_t length = ReadU64();
-    if (!HasRemaining(length)) return {};
-    std::string value(data_ + pos_, static_cast<size_t>(length));
-    pos_ += static_cast<size_t>(length);
-    return value;
+  /// The next `size` bytes, viewed in place (no length prefix); empty when
+  /// fewer remain.
+  std::string_view ReadBytes(uint64_t size) {
+    if (!HasRemaining(size)) return {};
+    const std::string_view bytes(data_ + pos_, static_cast<size_t>(size));
+    pos_ += static_cast<size_t>(size);
+    return bytes;
   }
 
+  std::string ReadString() { return std::string(ReadBytes(ReadU64())); }
+
   std::vector<int64_t> ReadI64Vector() {
-    return ReadPodVector<int64_t>();
+    return ReadPodArray<int64_t>(ReadU64());
   }
 
   std::vector<double> ReadDoubleVector() {
-    return ReadPodVector<double>();
+    return ReadPodArray<double>(ReadU64());
+  }
+
+  /// `count` raw float32 values (no length prefix).
+  std::vector<float> ReadFloats(uint64_t count) {
+    return ReadPodArray<float>(count);
   }
 
   Tensor ReadTensor() {
@@ -109,11 +127,8 @@ class ByteReader {
       }
       numel *= extent;
     }
-    const size_t bytes = static_cast<size_t>(numel) * sizeof(float);
-    if (failed_ || !HasRemaining(bytes)) return Tensor();
-    std::vector<float> data(static_cast<size_t>(numel));
-    std::memcpy(data.data(), data_ + pos_, bytes);
-    pos_ += bytes;
+    std::vector<float> data = ReadFloats(static_cast<uint64_t>(numel));
+    if (failed_) return Tensor();
     return Tensor::FromVector(shape, std::move(data));
   }
 
@@ -123,6 +138,15 @@ class ByteReader {
 
   /// Bytes not yet consumed. A well-formed payload decodes to exactly 0.
   size_t remaining() const { return size_ - pos_; }
+
+  /// Offset of the next unread byte, for ConsumedSince.
+  size_t position() const { return pos_; }
+
+  /// The bytes read since `start` (an earlier position()): what a
+  /// checksum trailer after them covers.
+  std::string_view ConsumedSince(size_t start) const {
+    return std::string_view(data_ + start, pos_ - start);
+  }
 
  private:
   template <typename T>
@@ -134,11 +158,11 @@ class ByteReader {
     return value;
   }
 
+  // `count` consecutive values; checked against the bytes left before the
+  // vector is allocated, so a corrupt count cannot reserve gigabytes.
   template <typename T>
-  std::vector<T> ReadPodVector() {
-    const uint64_t count = ReadU64();
-    if (failed_ || count > size_ / sizeof(T) ||
-        !HasRemaining(count * sizeof(T))) {
+  std::vector<T> ReadPodArray(uint64_t count) {
+    if (failed_ || count > remaining() / sizeof(T)) {
       Fail();
       return {};
     }
@@ -146,9 +170,9 @@ class ByteReader {
     // An empty vector's data() may be null, and memcpy from or to null is
     // undefined even for zero bytes.
     if (count == 0) return values;
-    std::memcpy(values.data(), data_ + pos_,
-                static_cast<size_t>(count) * sizeof(T));
-    pos_ += static_cast<size_t>(count) * sizeof(T);
+    const size_t bytes = static_cast<size_t>(count) * sizeof(T);
+    std::memcpy(values.data(), data_ + pos_, bytes);
+    pos_ += bytes;
     return values;
   }
 
@@ -170,4 +194,4 @@ class ByteReader {
 
 }  // namespace geodp
 
-#endif  // GEODP_CKPT_BYTE_IO_H_
+#endif  // GEODP_TENSOR_BYTE_IO_H_

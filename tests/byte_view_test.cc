@@ -1,7 +1,7 @@
 // Tests for base/byte_view.h — the audited home of type punning (lint
-// rule R6) — plus byte-exact golden tests proving the codecs rebuilt on
-// it (GDPT tensors, GDPC checkpoints, IDX exports) still emit exactly
-// the wire bytes they did before the migration. The golden streams are
+// rule R6) — plus byte-exact golden tests proving the wire formats (GDPT
+// tensors, GDPC model checkpoints, the GDPK training-checkpoint envelope)
+// still emit exactly the bytes they always have. The golden streams are
 // assembled with std::memcpy and hand-rolled CRC only, so they do not
 // depend on the code under test.
 
@@ -17,7 +17,7 @@
 
 #include "base/byte_view.h"
 #include "base/rng.h"
-#include "data/mnist_idx.h"
+#include "ckpt/checkpoint.h"
 #include "nn/checkpoint.h"
 #include "nn/linear.h"
 #include "nn/parameter.h"
@@ -45,13 +45,6 @@ void AppendPod(std::string& out, const T& value) {
   std::array<char, sizeof(T)> buffer;
   std::memcpy(buffer.data(), &value, sizeof(T));
   out.append(buffer.data(), buffer.size());
-}
-
-void AppendBigEndian32(std::string& out, uint32_t value) {
-  out.push_back(static_cast<char>((value >> 24) & 0xFF));
-  out.push_back(static_cast<char>((value >> 16) & 0xFF));
-  out.push_back(static_cast<char>((value >> 8) & 0xFF));
-  out.push_back(static_cast<char>(value & 0xFF));
 }
 
 // Independent bitwise CRC-32 (reflected 0xEDB88320) — deliberately not
@@ -114,8 +107,8 @@ TEST(ByteViewTest, PunCastPreservesAddressAndConstness) {
 TEST(GoldenBytesTest, TensorWireFormatIsUnchanged) {
   const std::vector<float> data = {0.0f, 1.5f, -2.25f, 3.0f, 4.5f, -6.75f};
   const Tensor tensor = Tensor::FromVector({2, 3}, data);
-  std::ostringstream out(std::ios::binary);
-  ASSERT_TRUE(WriteTensor(tensor, out).ok());
+  ByteWriter out;
+  WriteTensorRecord(tensor, out);
 
   std::string payload = "GDPT";
   AppendPod(payload, uint32_t{2});  // version
@@ -127,7 +120,7 @@ TEST(GoldenBytesTest, TensorWireFormatIsUnchanged) {
   AppendPod(expected, static_cast<uint64_t>(payload.size()));
   AppendPod(expected, TestCrc32(payload));
 
-  EXPECT_EQ(out.str(), expected);
+  EXPECT_EQ(out.bytes(), expected);
 }
 
 TEST(GoldenBytesTest, CheckpointContainerFormatIsUnchanged) {
@@ -142,41 +135,91 @@ TEST(GoldenBytesTest, CheckpointContainerFormatIsUnchanged) {
   for (Parameter* p : params) {
     AppendPod(expected, static_cast<uint32_t>(p->name.size()));
     expected += p->name;
-    std::ostringstream tensor_bytes(std::ios::binary);
-    ASSERT_TRUE(WriteTensor(p->value, tensor_bytes).ok());
-    expected += tensor_bytes.str();
+    // Each value is a GDPT v2 record: header, extents, data, trailer.
+    std::string record = "GDPT";
+    AppendPod(record, uint32_t{2});  // version
+    AppendPod(record, static_cast<uint32_t>(p->value.ndim()));
+    for (const int64_t extent : p->value.shape()) AppendPod(record, extent);
+    for (int64_t i = 0; i < p->value.numel(); ++i) {
+      AppendPod(record, p->value[i]);
+    }
+    expected += record;
+    AppendPod(expected, static_cast<uint64_t>(record.size()));
+    AppendPod(expected, TestCrc32(record));
   }
 
   EXPECT_EQ(ReadWholeFile(path), expected);
 }
 
-TEST(GoldenBytesTest, IdxExportFormatIsUnchanged) {
-  InMemoryDataset dataset;
-  dataset.Add(Tensor::FromVector({1, 2, 2}, {0.0f, 0.5f, 1.0f, 0.25f}), 3);
-  dataset.Add(Tensor::FromVector({1, 2, 2}, {1.0f, 0.0f, 0.75f, 0.5f}), 1);
-  const std::string images_path = TestTempPath("byte_view_golden_images.idx");
-  const std::string labels_path = TestTempPath("byte_view_golden_labels.idx");
-  ASSERT_TRUE(SaveMnistIdx(dataset, images_path, labels_path).ok());
+// A training checkpoint with every field set, both ledger event kinds
+// that carry numbers included.
+TrainingCheckpoint PinnedCheckpoint() {
+  TrainingCheckpoint c;
+  c.next_attempt = 12;
+  c.accepted_updates = 11;
+  c.loss_iterations = {0, 10};
+  c.loss_history = {2.31, 1.87};
+  c.empty_lots = 1;
+  c.nonfinite_skipped = 2;
+  c.sur_accepted = 5;
+  c.sur_rejected = 3;
+  c.current_beta = 0.05;
+  c.param_names = {"fc.weight", "fc.bias"};
+  c.param_values = {Tensor::FromVector({2, 3}, {1, 2, 3, 4, 5, 6}),
+                    Tensor::FromVector({3}, {7, 8, 9})};
+  c.noise_rng.state[0] = 0x1234;
+  c.noise_rng.state[3] = 0xFEDCBA9876543210u;
+  c.noise_rng.has_cached_gaussian = true;
+  c.noise_rng.cached_gaussian = -0.75;
+  c.uniform_sampler.rng.state[1] = 42;
+  c.uniform_sampler.order = {3, 1, 0, 2};
+  c.uniform_sampler.cursor = 2;
+  c.poisson_rng.state[2] = 7;
+  c.importance_sampler.rng.state[0] = 9;
+  c.importance_sampler.weights = {1.0, 2.0, 3.0, 4.0};
+  c.importance_sampler.seen = {true, false, true, false};
+  c.adam.m = Tensor::FromVector({9}, std::vector<float>(9, 0.5f));
+  c.adam.v = Tensor::FromVector({9}, std::vector<float>(9, 0.25f));
+  c.adam.step = 11;
+  c.accountant_orders = {2, 3, 4};
+  c.accountant_rdp = {0.1, 0.2, 0.3};
+  c.accountant_steps = 11;
+  PrivacyEvent gaussian;
+  gaussian.kind = PrivacyEvent::Kind::kSubsampledGaussian;
+  gaussian.noise_multiplier = 1.0;
+  gaussian.sampling_rate = 0.1;
+  gaussian.count = 11;
+  gaussian.note = "dp-sgd step";
+  PrivacyEvent laplace;
+  laplace.kind = PrivacyEvent::Kind::kLaplace;
+  laplace.epsilon = 0.5;
+  laplace.note = "release";
+  c.ledger_events = {gaussian, laplace};
+  c.beta_controller.observations = 4;
+  c.beta_controller.min_angle = {0.1, 0.2};
+  c.beta_controller.max_angle = {1.1, 1.2};
+  c.options_fingerprint = "v1|test";
+  return c;
+}
 
-  std::string images;
-  AppendBigEndian32(images, 2051);  // IDX3 magic
-  AppendBigEndian32(images, 2);     // examples
-  AppendBigEndian32(images, 2);     // rows
-  AppendBigEndian32(images, 2);     // cols
-  // Pixels quantized as round(clamp(v, 0, 1) * 255).
-  const std::array<unsigned char, 8> pixels = {0, 128, 255, 64,
-                                               255, 0, 191, 128};
-  for (const unsigned char pixel : pixels) {
-    images.push_back(static_cast<char>(pixel));
-  }
-  std::string labels;
-  AppendBigEndian32(labels, 2049);  // IDX1 magic
-  AppendBigEndian32(labels, 2);
-  labels.push_back(3);
-  labels.push_back(1);
+TEST(GoldenBytesTest, TrainingCheckpointEnvelopeIsPinned) {
+  const std::string path = TestTempPath("byte_view_golden.gdpk");
+  ASSERT_TRUE(SaveTrainingCheckpoint(PinnedCheckpoint(), path).ok());
+  const std::string bytes = ReadWholeFile(path);
 
-  EXPECT_EQ(ReadWholeFile(images_path), images);
-  EXPECT_EQ(ReadWholeFile(labels_path), labels);
+  // Length and CRC of the whole file as the format has always written it.
+  EXPECT_EQ(bytes.size(), 867u);
+  EXPECT_EQ(TestCrc32(bytes), 0x9D942ACFu);
+
+  // The envelope: magic, version 1, payload length, payload, payload CRC.
+  ASSERT_GE(bytes.size(), 20u);
+  const std::string payload = bytes.substr(16, bytes.size() - 20);
+  std::string envelope = "GDPK";
+  AppendPod(envelope, uint32_t{1});
+  AppendPod(envelope, static_cast<uint64_t>(payload.size()));
+  envelope += payload;
+  AppendPod(envelope, TestCrc32(payload));
+  EXPECT_EQ(bytes, envelope);
 }
 
 }  // namespace

@@ -91,14 +91,16 @@ TEST_F(CheckpointCorruptionTest, TruncationAtEveryLengthIsRejected) {
 }
 
 TEST_F(CheckpointCorruptionTest, AppendedGarbageIsRejected) {
-  WriteFile(path_, good_bytes_ + std::string(33, '\x5a'));
-  // Trailing garbage after the last tensor is tolerated by the streaming
-  // reader only if it never reads past the declared tensors; the GDPC
-  // reader stops after `count` entries, so this stays loadable. What must
-  // hold is that the loaded weights equal the source exactly.
-  const Status status = LoadCheckpoint(*target_, path_);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(WeightBytes(*target_), WeightBytes(*source_));
+  // Bytes after the last record mean the file is not what SaveCheckpoint
+  // wrote, however few of them there are.
+  for (const size_t extra : {size_t{1}, size_t{33}}) {
+    WriteFile(path_, good_bytes_ + std::string(extra, '\x5a'));
+    const Status status = LoadCheckpoint(*target_, path_);
+    EXPECT_FALSE(status.ok()) << extra << " appended bytes were accepted";
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(WeightBytes(*target_), target_before_)
+        << "model mutated by rejected load (" << extra << " bytes)";
+  }
 }
 
 TEST_F(CheckpointCorruptionTest, IntactFileRoundTripsExactly) {

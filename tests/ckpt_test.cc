@@ -10,9 +10,9 @@
 
 #include "base/crc32.h"
 #include "base/fault_injection.h"
-#include "ckpt/byte_io.h"
 #include "ckpt/checkpoint.h"
 #include "gtest/gtest.h"
+#include "tensor/byte_io.h"
 #include "test_util.h"
 
 namespace geodp {

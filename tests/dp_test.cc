@@ -1,4 +1,4 @@
-// Tests for the DP substrate: Gaussian/Laplace mechanisms, composition
+// Tests for the DP substrate: the Gaussian mechanism, composition
 // theorems and the RDP accountant.
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "base/rng.h"
 #include "dp/composition.h"
 #include "dp/gaussian_mechanism.h"
-#include "dp/laplace_mechanism.h"
 #include "dp/rdp_accountant.h"
 #include "stats/summary.h"
 
@@ -57,25 +56,6 @@ TEST(GaussianMechanismTest, TensorPerturbShape) {
   const Tensor noisy = mech.Perturb(t, rng);
   EXPECT_EQ(noisy.numel(), 3);
   EXPECT_EQ(noisy[1], 2.0f);  // sigma 0 -> unchanged
-}
-
-TEST(LaplaceMechanismTest, ScaleAndMoments) {
-  LaplaceMechanism mech({.l1_sensitivity = 2.0, .epsilon = 0.5});
-  EXPECT_DOUBLE_EQ(mech.Scale(), 4.0);
-  Rng rng(3);
-  RunningStat stat;
-  for (int i = 0; i < 100000; ++i) stat.Add(mech.Perturb(0.0, rng));
-  EXPECT_NEAR(stat.mean(), 0.0, 0.1);
-  // Var of Laplace(b) is 2 b^2 = 32.
-  EXPECT_NEAR(stat.variance(), 32.0, 1.5);
-}
-
-TEST(LaplaceMechanismTest, TensorPerturb) {
-  LaplaceMechanism mech({.l1_sensitivity = 1.0, .epsilon = 1.0});
-  Rng rng(4);
-  const Tensor t({100});
-  const Tensor noisy = mech.Perturb(t, rng);
-  EXPECT_GT(noisy.L2Norm(), 0.0);
 }
 
 TEST(CompositionTest, BasicComposition) {

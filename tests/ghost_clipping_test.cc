@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "base/rng.h"
@@ -21,7 +22,6 @@
 #include "models/cnn.h"
 #include "models/logistic_regression.h"
 #include "nn/conv2d.h"
-#include "nn/group_norm.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/parameter.h"
@@ -44,6 +44,19 @@ InMemoryDataset MakeTrainSet(int64_t n, uint64_t seed, int64_t size = 8) {
   options.seed = seed;
   return MakeSyntheticImages(options);
 }
+
+// A layer with a parameter but no ghost hooks: the identity, plus one
+// scalar it never uses. Ghost clipping must reject any model holding it.
+class NoGhostHooksLayer : public Layer {
+ public:
+  Tensor Forward(const Tensor& input) override { return input; }
+  Tensor Backward(const Tensor& grad_output) override { return grad_output; }
+  std::vector<Parameter*> Parameters() override { return {&scale_}; }
+  std::string name() const override { return "NoGhostHooksLayer"; }
+
+ private:
+  Parameter scale_{"scale", Tensor::Vector({1.0f})};
+};
 
 void ExpectTensorsNear(const Tensor& a, const Tensor& b, double tolerance) {
   ASSERT_EQ(a.numel(), b.numel());
@@ -206,15 +219,6 @@ TEST(Conv2dGhostTest, NormsGradInputAndAccumulationMatchMaterialized) {
   CheckLayerGhostHooks(layer, x, gy, {0.7, 0.0, 1.3});
 }
 
-TEST(Conv2dGhostTest, DirectImplMatchesMaterialized) {
-  Rng rng(24);
-  Conv2d layer(1, 2, /*kernel_size=*/3, rng, /*padding=*/0,
-               /*with_bias=*/true, ConvImpl::kDirect);
-  const Tensor x = Tensor::Randn({2, 1, 6, 6}, rng);
-  const Tensor gy = Tensor::Randn({2, 2, 4, 4}, rng);
-  CheckLayerGhostHooks(layer, x, gy, {1.0, 0.25});
-}
-
 TEST(LinearGhostTest, ZeroWeightExcludesNonFiniteSampleStructurally) {
   Rng rng(25);
   Linear layer(4, 3, rng);
@@ -269,11 +273,11 @@ TEST(GhostGradTest, SupportDetection) {
   auto logreg = MakeLogisticRegression(64, 10, rng);
   EXPECT_TRUE(GhostClipSupported(*logreg));
 
-  // GroupNorm has parameters but no ghost hooks, so any model containing
-  // it must be reported unsupported.
-  Sequential with_norm;
-  with_norm.Emplace<GroupNorm>(4, 2);
-  EXPECT_FALSE(GhostClipSupported(with_norm));
+  // A layer with parameters but no ghost hooks makes the whole model
+  // unsupported.
+  Sequential without_hooks;
+  without_hooks.Emplace<NoGhostHooksLayer>();
+  EXPECT_FALSE(GhostClipSupported(without_hooks));
 }
 
 // Checks ghost-vs-materialized equivalence of the complete
@@ -500,7 +504,7 @@ TEST(TrainerGhostTest, UnsupportedModelRejected) {
   const InMemoryDataset train = MakeTrainSet(32, 1);
   Rng rng(3);
   auto model = std::make_unique<Sequential>();
-  model->Emplace<GroupNorm>(1, 1);
+  model->Emplace<NoGhostHooksLayer>();
   model->Emplace<Linear>(64, 10, rng);
   TrainerOptions options;
   options.clip_mode = "ghost";

@@ -1,5 +1,5 @@
-// Tests for the extended NN layers: GroupNorm, Sigmoid, LeakyReLU, and the
-// MLP model factory.
+// Tests for the extended NN layers: Sigmoid, LeakyReLU, the MLP model
+// factory, and im2col convolution against a direct-loop reference.
 
 #include <cmath>
 
@@ -9,7 +9,6 @@
 #include "models/mlp.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
-#include "nn/group_norm.h"
 #include "nn/im2col.h"
 #include "nn/parameter.h"
 #include "tensor/tensor_ops.h"
@@ -19,76 +18,6 @@ namespace geodp {
 namespace {
 
 using testing_util::CheckGradients;
-
-TEST(GroupNormTest, NormalizesWithinGroups) {
-  GroupNorm norm(4, 2);  // 2 groups of 2 channels
-  Rng rng(1);
-  const Tensor x = Tensor::Randn({2, 4, 3, 3}, rng, 5.0f);
-  const Tensor y = norm.Forward(x);
-  // With gamma=1, beta=0 each (sample, group) slab has mean ~0, var ~1.
-  const int64_t spatial = 9;
-  for (int64_t b = 0; b < 2; ++b) {
-    for (int64_t g = 0; g < 2; ++g) {
-      double mean = 0.0, var = 0.0;
-      for (int64_t c = g * 2; c < g * 2 + 2; ++c) {
-        for (int64_t i = 0; i < spatial; ++i) {
-          mean += static_cast<double>(y[((b * 4 + c) * spatial) + i]);
-        }
-      }
-      mean /= 18.0;
-      for (int64_t c = g * 2; c < g * 2 + 2; ++c) {
-        for (int64_t i = 0; i < spatial; ++i) {
-          const double d =
-              static_cast<double>(y[((b * 4 + c) * spatial) + i]) - mean;
-          var += d * d;
-        }
-      }
-      var /= 18.0;
-      EXPECT_NEAR(mean, 0.0, 1e-4);
-      EXPECT_NEAR(var, 1.0, 1e-2);
-    }
-  }
-}
-
-TEST(GroupNormTest, AffineParametersApply) {
-  GroupNorm norm(2, 1);
-  norm.Parameters()[0]->value = Tensor::Vector({2.0f, 3.0f});  // gamma
-  norm.Parameters()[1]->value = Tensor::Vector({1.0f, -1.0f});  // beta
-  Rng rng(2);
-  const Tensor x = Tensor::Randn({1, 2, 2, 2}, rng);
-  const Tensor y = norm.Forward(x);
-  // Channel 0 values should center at beta=1, channel 1 at beta=-1.
-  double mean0 = 0.0, mean1 = 0.0;
-  for (int64_t i = 0; i < 4; ++i) {
-    mean0 += static_cast<double>(y[i]);
-    mean1 += static_cast<double>(y[4 + i]);
-  }
-  EXPECT_NEAR(mean0 / 4.0 + mean1 / 4.0, 0.0, 1.0);  // loose sanity
-}
-
-TEST(GroupNormTest, GradientCheck) {
-  Rng rng(3);
-  GroupNorm norm(4, 2);
-  // Randomize affine parameters so their gradients are exercised.
-  norm.Parameters()[0]->value = Tensor::RandUniform({4}, rng, 0.5f, 1.5f);
-  norm.Parameters()[1]->value = Tensor::Randn({4}, rng, 0.2f);
-  const Tensor x = Tensor::Randn({2, 4, 3, 3}, rng);
-  const auto result = CheckGradients(norm, x, rng, /*epsilon=*/1e-3);
-  EXPECT_LT(result.max_input_error, 5e-2);
-  EXPECT_LT(result.max_param_error, 5e-2);
-}
-
-TEST(GroupNormTest, SingleGroupIsLayerNorm) {
-  // num_groups=1 normalizes over the whole sample.
-  GroupNorm norm(3, 1);
-  Rng rng(4);
-  const Tensor x = Tensor::Randn({1, 3, 2, 2}, rng, 4.0f);
-  const Tensor y = norm.Forward(x);
-  double mean = 0.0;
-  for (int64_t i = 0; i < y.numel(); ++i)
-    mean += static_cast<double>(y[i]);
-  EXPECT_NEAR(mean / static_cast<double>(y.numel()), 0.0, 1e-4);
-}
 
 TEST(SigmoidTest, ForwardAnchors) {
   Sigmoid sigmoid;
@@ -201,34 +130,119 @@ TEST(Im2ColTest, Col2ImAccumulatesOverlaps) {
   EXPECT_EQ(image.at({0, 2, 2}), 1.0f);
 }
 
+// Reference convolution: direct nested loops over [B, IC, H, W] input,
+// [OC, IC, K, K] weight and [OC] bias, stride 1, symmetric zero padding.
+// Slow but easy to audit; Conv2d's im2col lowering is checked against it.
+Tensor DirectConvForward(const Tensor& input, const Tensor& weight,
+                         const Tensor& bias, int64_t padding) {
+  const int64_t batch = input.dim(0), in_channels = input.dim(1);
+  const int64_t in_h = input.dim(2), in_w = input.dim(3);
+  const int64_t out_channels = weight.dim(0), k = weight.dim(2);
+  const int64_t out_h = in_h + 2 * padding - k + 1;
+  const int64_t out_w = in_w + 2 * padding - k + 1;
+  Tensor output({batch, out_channels, out_h, out_w});
+  const float* x = input.data();
+  const float* w = weight.data();
+  float* y = output.data();
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t oc = 0; oc < out_channels; ++oc) {
+      for (int64_t oh = 0; oh < out_h; ++oh) {
+        for (int64_t ow = 0; ow < out_w; ++ow) {
+          double acc = bias[oc];
+          for (int64_t ic = 0; ic < in_channels; ++ic) {
+            for (int64_t kh = 0; kh < k; ++kh) {
+              const int64_t ih = oh + kh - padding;
+              if (ih < 0 || ih >= in_h) continue;
+              for (int64_t kw = 0; kw < k; ++kw) {
+                const int64_t iw = ow + kw - padding;
+                if (iw < 0 || iw >= in_w) continue;
+                acc += static_cast<double>(
+                           x[((b * in_channels + ic) * in_h + ih) * in_w +
+                             iw]) *
+                       static_cast<double>(
+                           w[((oc * in_channels + ic) * k + kh) * k + kw]);
+              }
+            }
+          }
+          y[((b * out_channels + oc) * out_h + oh) * out_w + ow] =
+              static_cast<float>(acc);
+        }
+      }
+    }
+  }
+  return output;
+}
+
+// Backward of DirectConvForward: returns dL/dinput and adds the parameter
+// gradients into weight_grad and bias_grad.
+Tensor DirectConvBackward(const Tensor& input, const Tensor& weight,
+                          const Tensor& grad_output, int64_t padding,
+                          Tensor& weight_grad, Tensor& bias_grad) {
+  const int64_t batch = input.dim(0), in_channels = input.dim(1);
+  const int64_t in_h = input.dim(2), in_w = input.dim(3);
+  const int64_t out_channels = weight.dim(0), k = weight.dim(2);
+  const int64_t out_h = grad_output.dim(2), out_w = grad_output.dim(3);
+  Tensor grad_input(input.shape());
+  const float* x = input.data();
+  const float* w = weight.data();
+  const float* gy = grad_output.data();
+  float* gx = grad_input.data();
+  float* gw = weight_grad.data();
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t oc = 0; oc < out_channels; ++oc) {
+      for (int64_t oh = 0; oh < out_h; ++oh) {
+        for (int64_t ow = 0; ow < out_w; ++ow) {
+          const float g =
+              gy[((b * out_channels + oc) * out_h + oh) * out_w + ow];
+          if (g == 0.0f) continue;
+          bias_grad[oc] += g;
+          for (int64_t ic = 0; ic < in_channels; ++ic) {
+            for (int64_t kh = 0; kh < k; ++kh) {
+              const int64_t ih = oh + kh - padding;
+              if (ih < 0 || ih >= in_h) continue;
+              for (int64_t kw = 0; kw < k; ++kw) {
+                const int64_t iw = ow + kw - padding;
+                if (iw < 0 || iw >= in_w) continue;
+                const int64_t xi =
+                    ((b * in_channels + ic) * in_h + ih) * in_w + iw;
+                const int64_t wi = ((oc * in_channels + ic) * k + kh) * k + kw;
+                gw[wi] += g * x[xi];
+                gx[xi] += g * w[wi];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return grad_input;
+}
+
 class ConvImplEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<int64_t, int64_t>> {};
 
 TEST_P(ConvImplEquivalenceTest, ForwardAndBackwardMatchDirect) {
   const auto& [kernel, padding] = GetParam();
   Rng rng(42);
-  Conv2d direct(2, 3, kernel, rng, padding, /*with_bias=*/true,
-                ConvImpl::kDirect);
-  Rng rng2(42);  // identical weights
-  Conv2d fast(2, 3, kernel, rng2, padding, /*with_bias=*/true,
-              ConvImpl::kIm2Col);
+  Conv2d conv(2, 3, kernel, rng, padding);
+  const Tensor& weight = conv.Parameters()[0]->value;
+  const Tensor& bias = conv.Parameters()[1]->value;
   Rng data_rng(7);
   const Tensor x = Tensor::Randn({2, 2, 6, 6}, data_rng);
-  const Tensor y_direct = direct.Forward(x);
-  const Tensor y_fast = fast.Forward(x);
-  ASSERT_TRUE(SameShape(y_direct, y_fast));
-  EXPECT_LT(MaxAbsDiff(y_direct, y_fast), 1e-4);
+  const Tensor y = conv.Forward(x);
+  const Tensor y_direct = DirectConvForward(x, weight, bias, padding);
+  ASSERT_TRUE(SameShape(y_direct, y));
+  EXPECT_LT(MaxAbsDiff(y_direct, y), 1e-4);
 
-  const Tensor gy = Tensor::Randn(y_direct.shape(), data_rng);
-  const Tensor gx_direct = direct.Backward(gy);
-  const Tensor gx_fast = fast.Backward(gy);
-  EXPECT_LT(MaxAbsDiff(gx_direct, gx_fast), 1e-4);
-  EXPECT_LT(MaxAbsDiff(direct.Parameters()[0]->grad,
-                       fast.Parameters()[0]->grad),
-            1e-3);
-  EXPECT_LT(MaxAbsDiff(direct.Parameters()[1]->grad,
-                       fast.Parameters()[1]->grad),
-            1e-3);
+  const Tensor gy = Tensor::Randn(y.shape(), data_rng);
+  Tensor weight_grad = Tensor::Zeros(weight.shape());
+  Tensor bias_grad = Tensor::Zeros(bias.shape());
+  const Tensor gx_direct =
+      DirectConvBackward(x, weight, gy, padding, weight_grad, bias_grad);
+  const Tensor gx = conv.Backward(gy);
+  EXPECT_LT(MaxAbsDiff(gx_direct, gx), 1e-4);
+  EXPECT_LT(MaxAbsDiff(weight_grad, conv.Parameters()[0]->grad), 1e-3);
+  EXPECT_LT(MaxAbsDiff(bias_grad, conv.Parameters()[1]->grad), 1e-3);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,7 +1,5 @@
-// Tests for the optimizer layer: SGD, DP-Adam, per-sample gradients,
+// Tests for the optimizer layer: DP-Adam, per-sample gradients,
 // perturbation-method plumbing and the IS / SUR techniques.
-
-#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -15,42 +13,12 @@
 #include "nn/sequential.h"
 #include "optim/dp_adam.h"
 #include "optim/dp_sgd.h"
-#include "optim/fast_linear_grad.h"
 #include "optim/geodp_sgd.h"
-#include "optim/sgd.h"
 #include "optim/techniques.h"
 #include "tensor/tensor_ops.h"
 
 namespace geodp {
 namespace {
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  // Minimize f(w) = ||w - target||^2 by hand-written gradients.
-  Parameter w("w", Tensor::Vector({5.0f, -3.0f}));
-  const Tensor target = Tensor::Vector({1.0f, 2.0f});
-  Sgd sgd({&w}, {.learning_rate = 0.1});
-  for (int step = 0; step < 200; ++step) {
-    sgd.ZeroGrad();
-    w.grad = Scale(Sub(w.value, target), 2.0f);
-    sgd.Step();
-  }
-  EXPECT_LT(MaxAbsDiff(w.value, target), 1e-3);
-}
-
-TEST(SgdTest, MomentumAcceleratesDescent) {
-  auto run = [](double momentum) {
-    Parameter w("w", Tensor::Vector({5.0f}));
-    const Tensor target = Tensor::Vector({0.0f});
-    Sgd sgd({&w}, {.learning_rate = 0.01, .momentum = momentum});
-    for (int step = 0; step < 50; ++step) {
-      sgd.ZeroGrad();
-      w.grad = Scale(Sub(w.value, target), 2.0f);
-      sgd.Step();
-    }
-    return std::fabs(w.value[0]);
-  };
-  EXPECT_LT(run(0.9), run(0.0));
-}
 
 TEST(FlatAdamTest, ConvergesOnQuadratic) {
   Parameter w("w", Tensor::Vector({5.0f, -3.0f, 2.0f}));
@@ -128,51 +96,6 @@ TEST(PerSampleGradientTest, MeanLossMatchesSampleLosses) {
   for (double l : result.sample_losses) mean += l;
   mean /= 4.0;
   EXPECT_NEAR(result.mean_loss, mean, 1e-9);
-}
-
-TEST(FastLinearGradTest, MatchesLoopPathExactly) {
-  // The batched outer-product path must agree with the per-sample loop for
-  // a Flatten+Linear model under flat clipping.
-  Rng rng(41);
-  SyntheticImageOptions data_options;
-  data_options.num_examples = 16;
-  data_options.height = 6;
-  data_options.width = 6;
-  data_options.seed = 42;
-  const InMemoryDataset ds = MakeSyntheticImages(data_options);
-  auto model = MakeLogisticRegression(36, 10, rng);
-  SoftmaxCrossEntropy loss;
-  const FlatClipper clipper(0.05);
-  std::vector<int64_t> indices;
-  for (int64_t i = 0; i < 16; ++i) indices.push_back(i);
-
-  const PrivateBatchGradient loop =
-      ComputePerSampleGradients(*model, loss, ds, indices, clipper);
-
-  const auto params = model->Parameters();
-  const Tensor x = ds.StackImages(indices).Reshape({16, 36});
-  const PrivateBatchGradient fast = ComputeLinearPerSampleGradients(
-      x, ds.GatherLabels(indices), params[0]->value, params[1]->value,
-      ClipThreshold(0.05));
-
-  EXPECT_NEAR(loop.mean_loss, fast.mean_loss, 1e-6);
-  EXPECT_LT(MaxAbsDiff(loop.averaged_clipped, fast.averaged_clipped), 1e-5);
-  EXPECT_LT(MaxAbsDiff(loop.averaged_raw, fast.averaged_raw), 1e-5);
-  ASSERT_EQ(loop.sample_losses.size(), fast.sample_losses.size());
-  for (size_t i = 0; i < loop.sample_losses.size(); ++i) {
-    EXPECT_NEAR(loop.sample_losses[i], fast.sample_losses[i], 1e-6);
-  }
-}
-
-TEST(FastLinearGradTest, ClipBoundHolds) {
-  Rng rng(43);
-  const Tensor x = Tensor::Randn({8, 12}, rng, 5.0f);
-  const Tensor w = Tensor::Randn({4, 12}, rng);
-  const Tensor b = Tensor::Randn({4}, rng);
-  const std::vector<int64_t> labels = {0, 1, 2, 3, 0, 1, 2, 3};
-  const PrivateBatchGradient result =
-      ComputeLinearPerSampleGradients(x, labels, w, b, ClipThreshold(0.02));
-  EXPECT_LE(result.averaged_clipped.L2Norm(), 0.02 + 1e-6);
 }
 
 TEST(EvaluateTest, LossAndAccuracyAreConsistent) {

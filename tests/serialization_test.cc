@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -21,12 +20,22 @@ namespace {
 
 using testing_util::TestTempPath;
 
+// The GDPT record of `tensor`, as written into a checkpoint.
+std::string Record(const Tensor& tensor) {
+  ByteWriter out;
+  WriteTensorRecord(tensor, out);
+  return out.TakeBytes();
+}
+
+StatusOr<Tensor> ReadRecord(const std::string& bytes) {
+  ByteReader in(bytes);
+  return ReadTensorRecord(in);
+}
+
 TEST(TensorSerializationTest, StreamRoundTrip) {
   Rng rng(1);
   const Tensor original = Tensor::Randn({3, 4, 5}, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(original, buffer).ok());
-  StatusOr<Tensor> restored = ReadTensor(buffer);
+  StatusOr<Tensor> restored = ReadRecord(Record(original));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().shape(), original.shape());
   EXPECT_TRUE(AllClose(restored.value(), original, 0.0, 0.0));
@@ -36,33 +45,29 @@ TEST(TensorSerializationTest, MultipleTensorsInOneStream) {
   Rng rng(2);
   const Tensor a = Tensor::Randn({4}, rng);
   const Tensor b = Tensor::Randn({2, 2}, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(a, buffer).ok());
-  ASSERT_TRUE(WriteTensor(b, buffer).ok());
-  StatusOr<Tensor> ra = ReadTensor(buffer);
-  StatusOr<Tensor> rb = ReadTensor(buffer);
+  ByteWriter out;
+  WriteTensorRecord(a, out);
+  WriteTensorRecord(b, out);
+  ByteReader in(out.bytes());
+  StatusOr<Tensor> ra = ReadTensorRecord(in);
+  StatusOr<Tensor> rb = ReadTensorRecord(in);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   EXPECT_TRUE(AllClose(ra.value(), a, 0.0, 0.0));
   EXPECT_TRUE(AllClose(rb.value(), b, 0.0, 0.0));
+  EXPECT_EQ(in.remaining(), 0u);
 }
 
 TEST(TensorSerializationTest, RejectsGarbage) {
-  std::stringstream buffer;
-  buffer << "this is not a tensor";
-  StatusOr<Tensor> restored = ReadTensor(buffer);
+  StatusOr<Tensor> restored = ReadRecord("this is not a tensor");
   EXPECT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(TensorSerializationTest, RejectsTruncatedData) {
   Rng rng(3);
-  const Tensor original = Tensor::Randn({64}, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(original, buffer).ok());
-  const std::string bytes = buffer.str();
-  std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_FALSE(ReadTensor(truncated).ok());
+  const std::string bytes = Record(Tensor::Randn({64}, rng));
+  EXPECT_FALSE(ReadRecord(bytes.substr(0, bytes.size() / 2)).ok());
 }
 
 TEST(TensorSerializationTest, BitFlipAnywhereIsDetected) {
@@ -70,74 +75,46 @@ TEST(TensorSerializationTest, BitFlipAnywhereIsDetected) {
   // bit flip at any offset, including inside the float payload where no
   // structural check would notice.
   Rng rng(41);
-  const Tensor original = Tensor::Randn({5, 5}, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(original, buffer).ok());
-  const std::string bytes = buffer.str();
+  const std::string bytes = Record(Tensor::Randn({5, 5}, rng));
   for (size_t offset = 0; offset < bytes.size(); ++offset) {
     std::string bad = bytes;
     bad[offset] = static_cast<char>(bad[offset] ^ 0x04);
-    std::stringstream corrupted(bad);
-    EXPECT_FALSE(ReadTensor(corrupted).ok())
+    EXPECT_FALSE(ReadRecord(bad).ok())
         << "bit flip at offset " << offset << " went undetected";
   }
 }
 
 TEST(TensorSerializationTest, TruncatedTrailerIsDetected) {
   Rng rng(42);
-  const Tensor original = Tensor::Randn({8}, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(original, buffer).ok());
-  const std::string bytes = buffer.str();
+  const std::string bytes = Record(Tensor::Randn({8}, rng));
   // Cut anywhere inside the 12-byte trailer: the data is all present, so
   // only the trailer checks can notice.
   for (size_t cut = bytes.size() - 12; cut < bytes.size(); ++cut) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_FALSE(ReadTensor(truncated).ok())
+    EXPECT_FALSE(ReadRecord(bytes.substr(0, cut)).ok())
         << "trailer truncation at " << cut << " went undetected";
   }
 }
 
 TEST(TensorSerializationTest, ReadsLegacyV1WithoutTrailer) {
-  // A v1 file is the v2 byte stream minus the trailer, with version 1 in
+  // A v1 record is the v2 record minus the trailer, with version 1 in
   // the header. Old files must stay readable.
   Rng rng(43);
   const Tensor original = Tensor::Randn({3, 2}, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(original, buffer).ok());
-  std::string bytes = buffer.str();
+  std::string bytes = Record(original);
   bytes.resize(bytes.size() - 12);  // strip u64 length + u32 crc
   const uint32_t v1 = 1;
   std::memcpy(bytes.data() + 4, &v1, sizeof(v1));
-  std::stringstream legacy(bytes);
-  StatusOr<Tensor> restored = ReadTensor(legacy);
+  ByteReader in(bytes);
+  StatusOr<Tensor> restored = ReadTensorRecord(in);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_TRUE(AllClose(restored.value(), original, 0.0, 0.0));
+  EXPECT_EQ(in.remaining(), 0u);
 }
 
 TEST(TensorSerializationTest, EmptyTensorRoundTrips) {
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(Tensor(), buffer).ok());
-  StatusOr<Tensor> restored = ReadTensor(buffer);
+  StatusOr<Tensor> restored = ReadRecord(Record(Tensor()));
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value().numel(), 0);
-}
-
-TEST(TensorSerializationTest, FileRoundTrip) {
-  Rng rng(4);
-  const Tensor original = Tensor::Randn({7, 3}, rng);
-  const std::string path = TestTempPath("tensor.gdpt");
-  ASSERT_TRUE(SaveTensorToFile(original, path).ok());
-  StatusOr<Tensor> restored = LoadTensorFromFile(path);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(AllClose(restored.value(), original, 0.0, 0.0));
-  std::remove(path.c_str());
-}
-
-TEST(TensorSerializationTest, MissingFileFails) {
-  StatusOr<Tensor> restored = LoadTensorFromFile("/nonexistent/path.gdpt");
-  EXPECT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), StatusCode::kNotFound);
 }
 
 TEST(CheckpointTest, CnnRoundTrip) {
